@@ -123,7 +123,6 @@ def _bench_submit_drain(args, tmp):
         port=0,
         workers=args.workers,
         rate_cache=os.path.join(tmp, "rates.json"),
-        frontend=args.frontend,
         max_queue_depth=max(4096, args.submissions + 64),
         admission_rate=1e9,
         admission_burst=1e9,
@@ -238,7 +237,6 @@ def _bench_backpressure(args, tmp):
         db_path="memory://",
         port=0,
         workers=1,
-        frontend=args.frontend,
         max_queue_depth=args.bp_queue_depth,
         admission_rate=1.0,
         admission_burst=args.bp_burst,
@@ -326,7 +324,6 @@ def measure(args):
             "python": platform.python_version(),
         },
         "parameters": {
-            "frontend": args.frontend,
             "submissions": args.submissions,
             "clients": args.clients,
             "unique": args.unique,
@@ -423,12 +420,6 @@ def main(argv=None):
         type=Path,
         default=DEFAULT_OUT,
         help="committed baseline for --check",
-    )
-    parser.add_argument(
-        "--frontend",
-        choices=("thread", "async"),
-        default="async",
-        help="front end under load (default async)",
     )
     parser.add_argument("--submissions", type=int, default=2000)
     parser.add_argument("--clients", type=int, default=32)

@@ -394,9 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="retry budget per job before it is marked FAILED",
     )
     serve.add_argument(
-        "--verbose", action="store_true", help="log every HTTP request"
-    )
-    serve.add_argument(
         "--archive",
         default=None,
         metavar="PATH",
@@ -410,14 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=5.0,
         metavar="SECONDS",
         help="wall seconds between archived metric snapshots",
-    )
-    serve.add_argument(
-        "--frontend",
-        choices=("thread", "async"),
-        default="thread",
-        help="HTTP front end: one thread per connection, or a single "
-        "asyncio event loop (scales to thousands of connections and "
-        "SSE streams)",
     )
     serve.add_argument(
         "--shards",
@@ -941,11 +930,9 @@ def _cmd_serve(args) -> str:
         workers=args.workers,
         rate_cache=args.rate_cache,
         max_attempts=args.max_attempts,
-        verbose=args.verbose,
         batch=args.batch,
         archive=args.archive,
         archive_period_s=args.archive_period,
-        frontend=args.frontend,
         shards=args.shards,
         admission_rate=args.admission_rate,
         admission_burst=args.admission_burst,
@@ -955,9 +942,10 @@ def _cmd_serve(args) -> str:
     # SIGTERM/SIGINT trigger one graceful shutdown: finish in-flight
     # jobs, re-record still-queued ones for restart recovery, flush
     # every rate-cache partition and the archive recorder, and close
-    # SSE streams with a terminal event.  The front end's blocking
-    # serve loop cannot shut *itself* down from a signal handler, so
-    # the work runs on a helper thread.
+    # SSE streams with a terminal event.  Shutdown joins threads and
+    # can take seconds, so it runs on a helper thread rather than in
+    # the signal handler; the loop below sees ``stopping`` and waits
+    # in ``shutdown`` until the helper has finished.
     def _graceful(signum, frame):  # noqa: ARG001 — signal signature
         threading.Thread(
             target=service.shutdown,
@@ -972,35 +960,23 @@ def _cmd_serve(args) -> str:
     except ValueError:
         pass  # Not the main thread (embedded use); rely on the caller.
 
-    # Printed (and flushed) before blocking so scripts can scrape the
+    service.start()
+    # Printed (and flushed) once bound, so scripts can scrape the
     # resolved port when --port 0 asked for an ephemeral one.
-    if service.frontend == "thread":
-        print(
-            f"repro experiment service listening on {service.url}",
-            flush=True,
-        )
-    else:
-        # The async front end binds inside serve_forever; start it on
-        # a background thread so the URL is printable first, then park
-        # the main thread on the stop event.
-        service.start()
-        print(
-            f"repro experiment service listening on {service.url}",
-            flush=True,
-        )
     print(
-        f"  frontend={service.frontend} workers={service.scheduler.workers} "
+        f"repro experiment service listening on {service.url}",
+        flush=True,
+    )
+    print(
+        f"  workers={service.scheduler.workers} "
         f"shards={service.scheduler.effective_shards} db={args.db} "
         f"rate_cache={args.rate_cache or 'off'} "
         f"archive={args.archive or 'off'}",
         flush=True,
     )
     try:
-        if service.frontend == "thread":
-            service.serve_forever()
-        else:
-            while not service.stopping:
-                time.sleep(0.2)
+        while not service.stopping:
+            time.sleep(0.2)
     except KeyboardInterrupt:
         pass
     finally:

@@ -131,19 +131,6 @@ class Subscription:
                 return self._queue.popleft()
             return None
 
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        """Block until an event is queued or the subscription closes.
-
-        Unlike :meth:`get` this consumes nothing — poll-style callers
-        (the shared SSE stream sessions) drain separately and use this
-        only to sleep efficiently between polls.  Returns True when an
-        event is waiting.
-        """
-        with self._cond:
-            if not self._queue and not self._closed:
-                self._cond.wait(timeout)
-            return bool(self._queue)
-
     def pending(self) -> int:
         """Events currently queued."""
         with self._cond:

@@ -19,10 +19,10 @@ health and throughput as Prometheus metrics.
 - :mod:`.admission` — token-bucket rate limiting and bounded-queue
   backpressure in front of every submission;
 - :mod:`.metrics` — dependency-free Prometheus exposition;
-- :mod:`.routes` — the transport-neutral HTTP API;
-- :mod:`.api` — the threaded front end + :class:`ExperimentService`
-  composition root (``repro-powercap serve``);
-- :mod:`.asyncapi` — the asyncio front end (``serve --frontend async``).
+- :mod:`.routes` — the HTTP API, apart from the transport;
+- :mod:`.asyncapi` — the asyncio HTTP front end that serves it;
+- :mod:`.api` — the :class:`ExperimentService` composition root
+  (``repro-powercap serve``).
 """
 
 from .admission import Admission, AdmissionController, TokenBucket
@@ -43,7 +43,7 @@ from .store import (
     SQLiteResultStore,
     open_store,
 )
-from .api import ExperimentService, FRONTENDS
+from .api import ExperimentService
 
 __all__ = [
     "Admission",
@@ -69,5 +69,4 @@ __all__ = [
     "SQLiteResultStore",
     "open_store",
     "ExperimentService",
-    "FRONTENDS",
 ]

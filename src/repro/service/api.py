@@ -1,16 +1,11 @@
-"""The experiment service: store + scheduler + a pluggable front end.
+"""The experiment service: store + scheduler + the asyncio front end.
 
 The HTTP API itself lives in :mod:`repro.service.routes` (one
-:class:`~repro.service.routes.Router` shared by every transport).
-This module provides:
-
-- the **threaded front end** — stdlib :mod:`http.server`, one thread
-  per connection; simple, debuggable, the historical default;
-- :class:`ExperimentService` — the composition root wiring the result
-  store, scheduler, admission controller, optional shard pool,
-  optional archive recorder, and the selected front end
-  (``frontend="thread"`` or ``"async"``; the latter is
-  :class:`~repro.service.asyncapi.AsyncFrontEnd`).
+:class:`~repro.service.routes.Router`), and
+:class:`~repro.service.asyncapi.AsyncFrontEnd` serves it.  This module
+provides :class:`ExperimentService` — the composition root wiring the
+result store, scheduler, admission controller, optional shard pool,
+optional archive recorder, and the front end.
 
 Endpoints (see ``docs/SERVICE.md`` for payloads):
 
@@ -33,116 +28,23 @@ Endpoints (see ``docs/SERVICE.md`` for payloads):
 
 from __future__ import annotations
 
+import os
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
-import os
-
-from ..errors import ConfigError
 from ..obs.archive import MetricsRecorder, ObsArchive
 from ..obs.logging import get_logger
 from .admission import AdmissionController
+from .asyncapi import AsyncFrontEnd
 from .metrics import ServiceMetrics
-from .routes import (
-    MAX_BODY_BYTES,
-    Request,
-    Response,
-    Router,
-    STREAM_POLL_S,
-    StreamStart,
-)
+from .routes import Router
 from .scheduler import ExperimentScheduler
 from .shards import ShardPool, effective_shard_count
 from .store import open_store
 
-__all__ = ["ExperimentService", "FRONTENDS"]
-
-#: Selectable HTTP front ends.
-FRONTENDS = ("thread", "async")
+__all__ = ["ExperimentService"]
 
 _log = get_logger("service.api")
-
-
-class _Handler(BaseHTTPRequestHandler):
-    """Thin adapter: parse with http.server, answer with the Router."""
-
-    server: "_ServiceHTTPServer"
-    protocol_version = "HTTP/1.1"
-
-    def log_message(self, fmt: str, *args) -> None:  # noqa: A003
-        if self.server.service.verbose:
-            super().log_message(fmt, *args)
-
-    def _handle(self) -> None:
-        service = self.server.service
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > MAX_BODY_BYTES:
-            self._write_response(
-                Response.json(413, {"error": "request body too large"})
-            )
-            return
-        body = self.rfile.read(length) if length else b""
-        request = Request(
-            method=self.command,
-            target=self.path,
-            headers={k.lower(): v for k, v in self.headers.items()},
-            body=body,
-            client=self.client_address[0],
-        )
-        result = service.router.dispatch(request)
-        if isinstance(result, StreamStart):
-            self._serve_stream(result)
-        else:
-            self._write_response(result)
-
-    do_GET = _handle  # noqa: N815 — http.server dispatch names
-    do_POST = _handle  # noqa: N815
-    do_DELETE = _handle  # noqa: N815
-
-    def _write_response(self, response: Response) -> None:
-        self.send_response(response.status)
-        self.send_header("Content-Type", response.content_type)
-        self.send_header("Content-Length", str(len(response.body)))
-        for name, value in response.headers:
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(response.body)
-
-    def _serve_stream(self, start: StreamStart) -> None:
-        """Drive one SSE session on this connection's thread.
-
-        SSE responses have no Content-Length; closing the connection
-        is how HTTP/1.1 delimits the (unbounded) body.
-        """
-        session = start.session
-        self.send_response(start.status)
-        self.send_header("Content-Type", start.content_type)
-        for name, value in start.headers:
-            self.send_header(name, value)
-        self.send_header("Connection", "close")
-        self.end_headers()
-        self.close_connection = True
-        try:
-            while True:
-                frames, done = session.poll()
-                for frame in frames:
-                    self.wfile.write(frame)
-                if frames:
-                    self.wfile.flush()
-                if done:
-                    return
-                session.subscription.wait(STREAM_POLL_S)
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # Client went away; nothing to clean up but the sub.
-        finally:
-            session.close()
-
-
-class _ServiceHTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-    service: "ExperimentService"
 
 
 class ExperimentService:
@@ -151,8 +53,7 @@ class ExperimentService:
     ``port=0`` binds an ephemeral port (read it back from
     :attr:`port`) — the tests and the CI smoke job rely on this.
     ``shards >= 2`` moves simulation into partitioned worker processes
-    (with the usual single-core fallback to in-process execution);
-    ``frontend`` selects the transport.
+    (with the usual single-core fallback to in-process execution).
     """
 
     def __init__(
@@ -165,25 +66,18 @@ class ExperimentService:
         max_attempts: int = 3,
         slice_accesses: int = 320_000,
         recover: bool = True,
-        verbose: bool = False,
         batch: "bool | None" = None,
         archive: "ObsArchive | str | os.PathLike | None" = None,
         archive_period_s: float = 5.0,
-        frontend: str = "thread",
         shards: int = 0,
         admission_rate: float = 200.0,
         admission_burst: float = 400.0,
         max_queue_depth: int = 1024,
     ) -> None:
-        if frontend not in FRONTENDS:
-            raise ConfigError(
-                f"unknown frontend {frontend!r}; choose from {FRONTENDS}"
-            )
-        self.verbose = bool(verbose)
-        self.frontend = frontend
         self.store = open_store(db_path)
         self.metrics = ServiceMetrics()
         self._stopping = threading.Event()
+        self._stopped = threading.Event()
         if archive is not None and not isinstance(archive, ObsArchive):
             archive = ObsArchive(archive)
         self.archive: Optional[ObsArchive] = archive
@@ -232,16 +126,7 @@ class ExperimentService:
         if recover:
             self.scheduler.recover()
         self.router = Router(self)
-        self._httpd: Optional[_ServiceHTTPServer] = None
-        self._async_frontend = None
-        if frontend == "thread":
-            self._httpd = _ServiceHTTPServer((host, int(port)), _Handler)
-            self._httpd.service = self
-        else:
-            from .asyncapi import AsyncFrontEnd
-
-            self._async_frontend = AsyncFrontEnd(self, host, int(port))
-        self._serve_thread: Optional[threading.Thread] = None
+        self._frontend = AsyncFrontEnd(self, host, int(port))
 
     # ------------------------------------------------------------------
     # Introspection
@@ -260,16 +145,12 @@ class ExperimentService:
     @property
     def host(self) -> str:
         """Bound interface."""
-        if self._httpd is not None:
-            return self._httpd.server_address[0]
-        return self._async_frontend.host
+        return self._frontend.host
 
     @property
     def port(self) -> int:
-        """Bound port (resolved when 0 was requested)."""
-        if self._httpd is not None:
-            return self._httpd.server_address[1]
-        return self._async_frontend.port
+        """Bound port (resolved by :meth:`start` when 0 was requested)."""
+        return self._frontend.port
 
     @property
     def url(self) -> str:
@@ -280,7 +161,16 @@ class ExperimentService:
     # Lifecycle
     # ------------------------------------------------------------------
 
-    def _start_backends(self, start_workers: bool) -> None:
+    def start(self, start_workers: bool = True) -> None:
+        """Bind, serve HTTP on a background thread, then start workers.
+
+        Binding comes first, so a port that is already taken raises
+        before any worker thread or shard process exists.
+        ``start_workers=False`` brings up the API with an idle
+        scheduler (jobs queue but never run) — useful for tests that
+        need to observe pre-execution states deterministically.
+        """
+        self._frontend.start()
         if self._shard_pool is not None:
             self._shard_pool.start()
         if start_workers:
@@ -288,47 +178,12 @@ class ExperimentService:
         if self._recorder is not None:
             self._recorder.snapshot_once()
             self._recorder.start()
-
-    def start(self, start_workers: bool = True) -> None:
-        """Start workers and serve HTTP on a background thread.
-
-        ``start_workers=False`` brings up the API with an idle
-        scheduler (jobs queue but never run) — useful for tests that
-        need to observe pre-execution states deterministically.
-        """
-        self._start_backends(start_workers)
-        if self._async_frontend is not None:
-            self._async_frontend.start()
-            _log.info(
-                "service_started",
-                url=self.url,
-                frontend=self.frontend,
-                workers=self.scheduler.workers,
-                shards=self.scheduler.effective_shards,
-            )
-            return
-        if self._serve_thread is None:
-            self._serve_thread = threading.Thread(
-                target=self._httpd.serve_forever,
-                name="repro-http",
-                daemon=True,
-            )
-            self._serve_thread.start()
-            _log.info(
-                "service_started",
-                url=self.url,
-                frontend=self.frontend,
-                workers=self.scheduler.workers,
-                shards=self.scheduler.effective_shards,
-            )
-
-    def serve_forever(self) -> None:
-        """Start workers and serve HTTP on the calling thread."""
-        self._start_backends(start_workers=True)
-        if self._async_frontend is not None:
-            self._async_frontend.serve_forever()
-        else:
-            self._httpd.serve_forever()
+        _log.info(
+            "service_started",
+            url=self.url,
+            workers=self.scheduler.workers,
+            shards=self.scheduler.effective_shards,
+        )
 
     def shutdown(self, drain: bool = True, timeout: float = 60.0) -> None:
         """Graceful stop: shed, close streams, drain, flush, exit.
@@ -338,31 +193,30 @@ class ExperimentService:
         1. admission starts shedding (503 ``shutting_down``) and
            :attr:`stopping` flips, so SSE sessions emit their terminal
            ``end`` frame on the next poll;
-        2. the front end stops (the asyncio server wakes every stream
-           immediately; threaded streams notice within one poll);
+        2. the front end stops and wakes every stream at once;
         3. the scheduler stops — with ``drain`` it finishes everything
            queued, without it queued jobs are re-recorded for restart
            recovery and only in-flight jobs are awaited — then flushes
            the rate cache (or every shard partition, via the pool);
         4. the archive recorder takes a final snapshot and stops.
 
-        Idempotent; safe to call from a signal-handler thread.
+        Idempotent; safe to call from a signal-handler thread.  A call
+        made while another thread is shutting down waits (up to
+        ``timeout``) for that shutdown to finish, so a process that
+        exits after it returns does not cut the drain short.
         """
         if self._stopping.is_set():
+            self._stopped.wait(timeout)
             return
         self._stopping.set()
-        self.admission.begin_shutdown()
-        if self._async_frontend is not None:
-            self._async_frontend.shutdown()
-        elif self._httpd is not None:
-            self._httpd.shutdown()
-            self._httpd.server_close()
-            if self._serve_thread is not None:
-                self._serve_thread.join(timeout=5.0)
-                self._serve_thread = None
-        self.scheduler.shutdown(drain=drain, timeout=timeout)
-        if self._recorder is not None:
-            # Final scrape after the drain so the archived history
-            # ends on the service's terminal state.
-            self._recorder.stop(final_snapshot=True)
-        self.store.close()
+        try:
+            self.admission.begin_shutdown()
+            self._frontend.shutdown()
+            self.scheduler.shutdown(drain=drain, timeout=timeout)
+            if self._recorder is not None:
+                # Final scrape after the drain so the archived history
+                # ends on the service's terminal state.
+                self._recorder.stop(final_snapshot=True)
+            self.store.close()
+        finally:
+            self._stopped.set()

@@ -1,26 +1,27 @@
-"""Asyncio HTTP front end: one event loop, thousands of connections.
+"""The service's HTTP front end: one asyncio event loop, every connection.
 
-The threaded front end spends a thread per connection — fine for a
-handful of clients, ruinous for a fleet controller holding hundreds of
-SSE streams open.  This front end serves the same :class:`Router` API
-on a single event loop built from stdlib :mod:`asyncio` streams:
+:class:`AsyncFrontEnd` serves the :class:`Router` API on a single
+event loop built from stdlib :mod:`asyncio` streams:
 
 - **HTTP/1.1 with keep-alive** — a minimal, strict parser (request
-  line, headers, ``Content-Length`` bodies); pipelined clients reuse
-  one connection for their whole submit burst, which is where the
-  bench's sustained-throughput numbers come from;
+  line, headers, ``Content-Length`` bodies); HTTP/1.0 connections close
+  after each response unless the request asks for keep-alive.  A
+  request the parser cannot accept is answered with 400, 413, 414 or
+  431 and ``Connection: close``; an oversized body is refused from its
+  declared length, before any of it is read;
+- **one write per response** — head and body leave in a single
+  ``write`` and asyncio sets ``TCP_NODELAY``, so a small keep-alive
+  response never waits on Nagle's algorithm and the client's delayed
+  ACK;
 - **native SSE** — each stream is a coroutine awaiting the
   subscription's wakeup hook (bridged onto the loop with
   ``call_soon_threadsafe``), so 100+ concurrent subscribers cost
-  queue memory, not threads;
+  queue memory, not threads; a client that hangs up ends its session
+  as soon as its socket reads EOF;
 - **non-blocking dispatch** — route handlers run in the default
-  executor, keeping store writes and sweep submissions off the loop;
-  admission sheds never leave the handler coroutine's fast path.
+  executor, keeping store writes and sweep submissions off the loop.
 
-The loop runs either on a dedicated thread (:meth:`start`, mirroring
-the threaded front end's background mode that every test relies on) or
-on the calling thread (:meth:`serve_forever`, the CLI's foreground
-mode).
+The loop runs on a dedicated thread started by :meth:`start`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import asyncio
 import threading
 from http.client import responses as _STATUS_PHRASES
-from typing import Optional, Set
+from typing import Optional, Set, Tuple
 
 from ..obs.logging import get_logger
 from .routes import (
@@ -38,6 +39,7 @@ from .routes import (
     Router,
     STREAM_POLL_S,
     StreamStart,
+    error_response,
 )
 
 __all__ = ["AsyncFrontEnd"]
@@ -49,6 +51,37 @@ _IDLE_TIMEOUT_S = 120.0
 
 #: Hard cap on one header block (DoS containment, matches http.server).
 _MAX_HEADER_LINES = 100
+
+#: How long a connection closed after a bad request keeps discarding
+#: what the client still sends, so the answer is not lost to a reset.
+_LINGER_S = 2.0
+
+
+class _BadRequest(Exception):
+    """A request the parser refuses: answer ``status``, then close."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+async def _readline(
+    reader: asyncio.StreamReader, status: int, message: str
+) -> bytes:
+    """One line; a line over the stream's limit is a :class:`_BadRequest`."""
+    try:
+        return await reader.readline()
+    except ValueError:  # asyncio's LimitOverrunError, re-raised by readline
+        raise _BadRequest(status, message) from None
+
+
+async def _until_eof(reader: asyncio.StreamReader) -> None:
+    """Read and discard until the peer closes (or resets) its side."""
+    try:
+        while await reader.read(1 << 16):
+            pass
+    except ConnectionError:
+        pass
 
 
 class AsyncFrontEnd:
@@ -68,6 +101,7 @@ class AsyncFrontEnd:
         self._stop_streams: Optional[asyncio.Event] = None
         self._conn_tasks: Set[asyncio.Task] = set()
         self._shutdown_requested = False
+        self._bind_error: Optional[OSError] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -84,7 +118,11 @@ class AsyncFrontEnd:
         return self._port
 
     def start(self) -> None:
-        """Run the loop on a background thread; returns once bound."""
+        """Run the loop on a background thread; returns once bound.
+
+        Raises the bind error (for example, the port is taken) here, on
+        the calling thread.
+        """
         if self._thread is not None:
             return
         self._thread = threading.Thread(
@@ -93,10 +131,8 @@ class AsyncFrontEnd:
         self._thread.start()
         if not self._bound.wait(timeout=10.0):
             raise RuntimeError("async front end failed to bind in 10 s")
-
-    def serve_forever(self) -> None:
-        """Run the loop on the calling thread until :meth:`shutdown`."""
-        self._run()
+        if self._bind_error is not None:
+            raise self._bind_error
 
     def _run(self) -> None:
         try:
@@ -108,12 +144,17 @@ class AsyncFrontEnd:
         self._loop = asyncio.get_running_loop()
         self._stop_streams = asyncio.Event()
         host, port = self._requested
-        self._server = await asyncio.start_server(
-            self._handle_connection, host, port
-        )
-        sock = self._server.sockets[0]
-        self._host, self._port = sock.getsockname()[:2]
-        self._bound.set()
+        try:
+            self._server = await asyncio.start_server(
+                self._handle_connection, host, port
+            )
+            sock = self._server.sockets[0]
+            self._host, self._port = sock.getsockname()[:2]
+        except OSError as exc:
+            self._bind_error = exc
+            return
+        finally:
+            self._bound.set()
         _log.info(
             "async_frontend_started", host=self._host, port=self._port
         )
@@ -202,18 +243,20 @@ class AsyncFrontEnd:
         peer = writer.get_extra_info("peername")
         client = str(peer[0]) if isinstance(peer, tuple) else "local"
         while True:
-            request = await self._read_request(reader, client)
-            if request is None:
+            try:
+                parsed = await self._read_request(reader, client)
+            except _BadRequest as exc:
+                await self._refuse(reader, writer, exc, client)
                 return
+            if parsed is None:
+                return
+            request, keep_alive = parsed
             result = await asyncio.get_running_loop().run_in_executor(
                 None, self._router.dispatch, request
             )
             if isinstance(result, StreamStart):
-                await self._serve_stream(writer, result)
+                await self._serve_stream(reader, writer, result)
                 return  # SSE responses are connection-delimited.
-            keep_alive = (
-                request.header("connection") or "keep-alive"
-            ).lower() != "close"
             self._write_response(writer, result, keep_alive)
             await writer.drain()
             if not keep_alive:
@@ -221,43 +264,83 @@ class AsyncFrontEnd:
 
     async def _read_request(
         self, reader: asyncio.StreamReader, client: str
-    ) -> Optional[Request]:
-        """Parse one request; None for EOF / timeout / garbage."""
+    ) -> Optional[Tuple[Request, bool]]:
+        """Parse one request and whether its connection stays open.
+
+        None for EOF or an idle timeout; :class:`_BadRequest` for input
+        the parser refuses.
+        """
         try:
             line = await asyncio.wait_for(
-                reader.readline(), timeout=_IDLE_TIMEOUT_S
+                _readline(reader, 414, "request line too long"),
+                timeout=_IDLE_TIMEOUT_S,
             )
         except asyncio.TimeoutError:
             return None
         if not line or line in (b"\r\n", b"\n"):
             return None
         try:
-            method, target, _version = line.decode("latin-1").split()
+            method, target, version = line.decode("latin-1").split()
         except ValueError:
-            return None
+            raise _BadRequest(400, "malformed request line") from None
         headers = {}
         for _ in range(_MAX_HEADER_LINES):
-            line = await reader.readline()
+            line = await _readline(reader, 431, "header line too long")
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         else:
-            return None
+            raise _BadRequest(431, "too many header lines")
         try:
             length = int(headers.get("content-length") or 0)
         except ValueError:
-            return None
-        if length < 0 or length > MAX_BODY_BYTES * 2:
-            return None
+            length = -1
+        if length < 0:
+            raise _BadRequest(400, "invalid Content-Length")
+        if length > MAX_BODY_BYTES:
+            raise _BadRequest(413, "request body too large")
         body = await reader.readexactly(length) if length else b""
-        return Request(
+        # HTTP/1.1 keeps the connection unless told to close; HTTP/1.0
+        # closes it unless told to keep it.
+        connection = headers.get("connection", "").lower()
+        if version.upper() == "HTTP/1.0":
+            keep_alive = connection == "keep-alive"
+        else:
+            keep_alive = connection != "close"
+        request = Request(
             method=method.upper(),
             target=target,
             headers=headers,
             body=body,
             client=client,
         )
+        return request, keep_alive
+
+    async def _refuse(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        exc: _BadRequest,
+        client: str,
+    ) -> None:
+        """Answer a refused request, then close without losing the answer.
+
+        The client may still be sending (an oversized body, say).
+        Closing with unread input would reset the connection and could
+        destroy the answer before the client reads it, so half-close
+        first and discard what arrives until the client closes too
+        (RFC 9112, section 9.6), for at most :data:`_LINGER_S`.
+        """
+        response = error_response(exc.status, str(exc), client=client)
+        self._write_response(writer, response, keep_alive=False)
+        await writer.drain()
+        if writer.can_write_eof():
+            writer.write_eof()
+        try:
+            await asyncio.wait_for(_until_eof(reader), timeout=_LINGER_S)
+        except asyncio.TimeoutError:
+            pass
 
     def _write_response(
         self,
@@ -282,14 +365,18 @@ class AsyncFrontEnd:
     # ------------------------------------------------------------------
 
     async def _serve_stream(
-        self, writer: asyncio.StreamWriter, start: StreamStart
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        start: StreamStart,
     ) -> None:
         """Drive one stream session natively on the loop.
 
         The subscription's wakeup hook posts to an :class:`asyncio.Event`
         via ``call_soon_threadsafe``, so delivery latency is one loop
-        turn, and an idle stream costs nothing until an event (or the
-        shutdown signal) arrives.
+        turn, and an idle stream costs nothing until an event, the
+        shutdown signal or the client's hang-up (EOF on ``reader``)
+        arrives.
         """
         session = start.session
         phrase = _STATUS_PHRASES.get(start.status, "OK")
@@ -301,6 +388,7 @@ class AsyncFrontEnd:
         loop = asyncio.get_running_loop()
         wake = asyncio.Event()
         stop = self._stop_streams
+        hangup = asyncio.ensure_future(_until_eof(reader))
 
         def _wakeup() -> None:
             loop.call_soon_threadsafe(wake.set)
@@ -313,20 +401,21 @@ class AsyncFrontEnd:
                     writer.write(frame)
                 if frames:
                     await writer.drain()
-                if done:
+                if done or hangup.done():
                     return
                 wake.clear()
                 waiters = [asyncio.ensure_future(wake.wait())]
                 if stop is not None:
                     waiters.append(asyncio.ensure_future(stop.wait()))
-                _, pending = await asyncio.wait(
-                    waiters,
+                await asyncio.wait(
+                    [*waiters, hangup],
                     timeout=STREAM_POLL_S,
                     return_when=asyncio.FIRST_COMPLETED,
                 )
-                for waiter in pending:
+                for waiter in waiters:
                     waiter.cancel()
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
+            hangup.cancel()
             session.close()

@@ -1,8 +1,8 @@
-"""Transport-neutral HTTP routing for the experiment service.
+"""HTTP routing for the experiment service, apart from the transport.
 
-Both front ends — the threaded :mod:`http.server` handler and the
-asyncio streams server — speak the same API, so the API lives here
-exactly once.  A front end's whole job is adaptation:
+The API lives here; the front end
+(:class:`~repro.service.asyncapi.AsyncFrontEnd`) only adapts bytes to
+it:
 
 1. parse bytes into a :class:`Request`;
 2. call :meth:`Router.dispatch`;
@@ -10,12 +10,9 @@ exactly once.  A front end's whole job is adaptation:
    drive the returned :class:`StreamStart`'s session: write its
    headers, then loop ``poll()`` / wait until ``done``.
 
-The stream sessions are deliberately *poll-style* (non-blocking
-``poll`` + an efficient ``wait``): a thread blocks in
-:meth:`~repro.obs.stream.Subscription.wait`, while the asyncio front
-end bridges the subscription's wakeup hook onto the event loop — one
-shared implementation of the replay/terminal/keepalive semantics,
-two transports.
+The stream sessions are deliberately *poll-style*: a non-blocking
+``poll`` holds the replay/terminal/keepalive semantics, and the front
+end sleeps between polls on the subscription's wakeup hook.
 
 Admission control happens here too: every ``POST /jobs`` passes the
 service's :class:`~repro.service.admission.AdmissionController` before
@@ -54,6 +51,7 @@ __all__ = [
     "JobStreamSession",
     "FleetStreamSession",
     "Router",
+    "error_response",
     "sse_frame",
     "sse_end",
     "sse_comment",
@@ -72,7 +70,7 @@ _TERMINAL_GRACE_S = 0.5
 #: Idle seconds between fleet-stream keepalive comments.
 _KEEPALIVE_S = 5.0
 
-#: Suggested wait between stream polls (both front ends honor it).
+#: Longest wait between stream polls.
 STREAM_POLL_S = 0.25
 
 
@@ -163,6 +161,23 @@ class StreamStart:
     )
 
 
+def error_response(status: int, message: str, **context) -> Response:
+    """A JSON error whose request id is also logged with ``context``.
+
+    The id lets a client-reported failure be matched to the
+    server-side record.
+    """
+    request_id = uuid.uuid4().hex[:12]
+    _log.warning(
+        "request_error",
+        request_id=request_id,
+        **context,
+        code=status,
+        error=message,
+    )
+    return Response.json(status, {"error": message, "request_id": request_id})
+
+
 # ----------------------------------------------------------------------
 # SSE wire format
 # ----------------------------------------------------------------------
@@ -201,7 +216,7 @@ class JobStreamSession:
     ``Last-Event-ID`` replay (done at subscribe time), terminal-event
     close, the post-terminal grace window, the synthetic ``end`` for
     jobs whose events rotated out of the ring, and the shutdown
-    terminal frame.  Both front ends drive it the same way::
+    terminal frame.  The front end drives it like this::
 
         frames, done = session.poll()
         # write frames; if done: close; else wait and poll again
@@ -309,7 +324,7 @@ class FleetStreamSession:
 
 
 class Router:
-    """Maps requests onto the service; shared by every front end."""
+    """Maps requests onto the service."""
 
     def __init__(self, service) -> None:
         self._service = service
@@ -317,20 +332,8 @@ class Router:
     # -- helpers -------------------------------------------------------
 
     def _error(self, req: Request, status: int, message: str) -> Response:
-        # Every error response carries a request id that is also
-        # logged, so a client-reported failure can be matched to the
-        # server-side record.
-        request_id = uuid.uuid4().hex[:12]
-        _log.warning(
-            "request_error",
-            request_id=request_id,
-            method=req.method,
-            path=req.path,
-            code=status,
-            error=message,
-        )
-        return Response.json(
-            status, {"error": message, "request_id": request_id}
+        return error_response(
+            status, message, method=req.method, path=req.path
         )
 
     def _archive_or_none(self, req: Request) -> "ObsArchive | Response":
@@ -397,7 +400,9 @@ class Router:
                     "workers": service.scheduler.workers,
                     "queue_depth": service.scheduler.queue_depth(),
                     "shards": service.scheduler.effective_shards,
-                    "frontend": service.frontend,
+                    # Clients such as the benchmark record which
+                    # front end served them.
+                    "frontend": "async",
                 },
             )
         if parts == ("metrics",):

@@ -1,7 +1,9 @@
 """HTTP API end-to-end: the acceptance path of the service layer.
 
-Covers: submit -> DONE -> result identical to a direct sweep; dedup on
-resubmission; /healthz; /metrics content; cancellation; error paths.
+Covers: submit -> DONE; dedup on resubmission; the timeseries
+endpoint; /healthz; /metrics content; cancellation; error paths.  The
+served result's byte-identity with a direct sweep is checked in
+``test_async_api.py``.
 """
 
 from __future__ import annotations
@@ -12,10 +14,7 @@ import urllib.request
 
 import pytest
 
-from repro.core.experiment import PowerCapExperiment
-from repro.core.serialize import experiment_to_dict
 from repro.service.api import ExperimentService
-from repro.workloads import make_workload
 
 SPEC = {
     "workload": "stereo",
@@ -82,26 +81,6 @@ class TestEndToEnd:
         assert finished_job["state"] == "done"
         assert finished_job["error"] is None
         assert finished_job["attempts"] == 1
-
-    def test_result_identical_to_direct_sweep(self, service, finished_job):
-        _, payload = request_json(
-            service, "GET", f"/jobs/{finished_job['id']}/result"
-        )
-        workload = make_workload("stereo", SPEC["scale"])
-        direct = PowerCapExperiment(
-            [workload],
-            caps_w=SPEC["caps_w"],
-            repetitions=SPEC["repetitions"],
-        ).run_workload(workload)
-        served = dict(payload["results"]["StereoMatching"])
-        expected = json.loads(json.dumps(experiment_to_dict(direct)))
-        # Provenance records *this* production (timestamps, phase
-        # seconds, cache stats), so it legitimately differs between the
-        # two sweeps; the engine output must still be bit-identical.
-        assert served.pop("provenance")["seed"] == expected.pop(
-            "provenance"
-        )["seed"]
-        assert served == expected
 
     def test_resubmission_is_a_store_hit(self, service, finished_job):
         status, twin = request_json(service, "POST", "/jobs", SPEC)
@@ -192,11 +171,14 @@ class TestHealthAndMetrics:
         assert health["status"] == "ok"
         assert health["workers"] == 2
         assert isinstance(health["queue_depth"], int)
+        assert health["frontend"] == "async"
 
     def test_metrics_exposition(self, service, finished_job):
-        status, raw = request(service, "GET", "/metrics")
-        assert status == 200
-        text = raw.decode()
+        url = service.url + "/metrics"
+        with urllib.request.urlopen(url, timeout=30) as resp:
+            assert resp.status == 200
+            assert resp.headers["Content-Type"].startswith("text/plain")
+            text = resp.read().decode()
         assert "# TYPE repro_queue_depth gauge" in text
         assert "repro_queue_depth " in text
         assert 'repro_jobs{state="done"}' in text
@@ -210,6 +192,8 @@ class TestHealthAndMetrics:
         # finished sweep recorded at least one timeline.
         assert "repro_telemetry_runs_total" in text
         assert "repro_telemetry_samples_total" in text
+        assert "repro_admission_shed_total" in text
+        assert "repro_service_shards" in text
 
     def test_rate_cache_counters_move(self, service, finished_job):
         # The sweep measured at least one gating -> misses > 0.

@@ -1,17 +1,23 @@
-"""The asyncio front end, end-to-end over real sockets.
+"""The HTTP front end (``repro.service.asyncapi``), over real sockets.
 
-Parity contract: every route behaves identically to the threaded
-front end — same status codes, same payloads, same SSE frames — and
-the served result document is byte-identical to a direct in-process
-sweep.  Also covers keep-alive connection reuse, admission sheds with
-``Retry-After``, and graceful shutdown (queued jobs re-recorded, open
-streams closed with a terminal ``end`` frame).
+Covers the transport's own contract: the served result document is
+byte-identical to a direct in-process sweep; keep-alive reuse and the
+close rules of HTTP/1.1 and HTTP/1.0; no delayed-ACK stall on small
+keep-alive responses; 405 and 413; requests the parser refuses
+answered with 400/413/414/431 and ``Connection: close``; admission
+sheds with ``Retry-After``; bind errors raised by ``start``; and
+graceful shutdown (queued jobs re-recorded, open streams closed with a
+terminal ``end`` frame).  The routes themselves are covered in
+``test_api.py`` and the SSE streams in ``test_stream_api.py``.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import socket
+import statistics
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -43,7 +49,6 @@ def service(tmp_path_factory):
         port=0,
         workers=2,
         rate_cache=tmp / "rates.json",
-        frontend="async",
     )
     svc.start()
     yield svc
@@ -110,14 +115,22 @@ def finished_job(service):
     return done
 
 
-class TestParity:
-    def test_healthz_reports_async_frontend(self, service):
-        status, health = request_json(service, "GET", "/healthz")
-        assert status == 200
-        assert health["status"] == "ok"
-        assert health["frontend"] == "async"
-        assert health["workers"] == 2
+def raw_exchange(service, payload: bytes, timeout: float = 10.0) -> bytes:
+    """Send raw bytes on a fresh socket; return all bytes until EOF."""
+    parsed = urlparse(service.url)
+    with socket.create_connection(
+        (parsed.hostname, parsed.port), timeout=timeout
+    ) as sock:
+        sock.sendall(payload)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
 
+
+class TestParity:
     def test_result_byte_identical_to_direct_sweep(
         self, service, finished_job
     ):
@@ -141,47 +154,8 @@ class TestParity:
                 doc.pop("provenance")
         assert served == expected
 
-    def test_resubmission_dedups_on_digest(self, service, finished_job):
-        status, twin = request_json(service, "POST", "/jobs", SPEC)
-        assert status == 201
-        assert twin["spec_digest"] == finished_job["spec_digest"]
-        assert poll_until_done(service, twin["id"])["state"] == "done"
-
-    def test_jobs_listing(self, service, finished_job):
-        _, listing = request_json(service, "GET", "/jobs")
-        assert any(j["id"] == finished_job["id"] for j in listing["jobs"])
-
-    def test_metrics_scrape(self, service, finished_job):
-        status, raw, headers = request(service, "GET", "/metrics")
-        assert status == 200
-        assert "text/plain" in headers["Content-Type"]
-        text = raw.decode()
-        assert "repro_admission_shed_total" in text
-        assert "repro_service_shards" in text
-
 
 class TestErrors:
-    def test_unknown_job_404(self, service):
-        with pytest.raises(urllib.error.HTTPError) as err:
-            request(service, "GET", "/jobs/nope")
-        assert err.value.code == 404
-
-    def test_unknown_resource_404(self, service):
-        with pytest.raises(urllib.error.HTTPError) as err:
-            request(service, "GET", "/bogus")
-        assert err.value.code == 404
-
-    def test_malformed_json_400(self, service):
-        req = urllib.request.Request(
-            service.url + "/jobs",
-            data=b"{not json",
-            method="POST",
-            headers={"Content-Type": "application/json"},
-        )
-        with pytest.raises(urllib.error.HTTPError) as err:
-            urllib.request.urlopen(req, timeout=30)
-        assert err.value.code == 400
-
     def test_unsupported_method_405(self, service):
         req = urllib.request.Request(
             service.url + "/jobs", data=b"{}", method="PUT"
@@ -202,6 +176,49 @@ class TestErrors:
             urllib.request.urlopen(req, timeout=30)
         assert err.value.code == 413
 
+    @pytest.mark.parametrize(
+        "payload, status",
+        [
+            (b"GARBAGE\r\n\r\n", 400),
+            (b"POST /jobs HTTP/1.1\r\nContent-Length: -1\r\n\r\n", 400),
+            (
+                b"POST /jobs HTTP/1.1\r\nContent-Length: 3145728\r\n\r\n",
+                413,
+            ),
+            (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", 414),
+            (
+                b"GET /healthz HTTP/1.1\r\nX-Big: "
+                + b"a" * 70_000
+                + b"\r\n\r\n",
+                431,
+            ),
+            (
+                b"GET /healthz HTTP/1.1\r\n"
+                + b"".join(b"X-H%d: 1\r\n" % k for k in range(101))
+                + b"\r\n",
+                431,
+            ),
+        ],
+        ids=[
+            "bad-request-line",
+            "bad-content-length",
+            "body-over-limit",
+            "request-line-over-limit",
+            "header-line-over-limit",
+            "101-header-lines",
+        ],
+    )
+    def test_refused_request_is_answered_then_closed(
+        self, service, payload, status
+    ):
+        """The parser answers what it refuses instead of dropping it."""
+        raw = raw_exchange(service, payload)
+        head, _, body = raw.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        assert lines[0].split()[1] == str(status), lines[0]
+        assert "Connection: close" in lines[1:]
+        assert "request_id" in json.loads(body)
+
 
 class TestKeepAlive:
     def test_connection_reuse(self, service):
@@ -220,65 +237,50 @@ class TestKeepAlive:
             conn.close()
 
     def test_connection_close_honoured(self, service):
+        """The server closes after the response; ``raw_exchange`` reads
+        to EOF, so a connection left open fails by timing out."""
+        for payload in (
+            b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+            b"GET /healthz HTTP/1.0\r\n\r\n",
+        ):
+            raw = raw_exchange(service, payload, timeout=3.0)
+            head, _, body = raw.partition(b"\r\n\r\n")
+            lines = head.decode("latin-1").split("\r\n")
+            assert lines[0].split()[1] == "200", payload
+            assert "Connection: close" in lines[1:], payload
+            json.loads(body)
+
+    def test_http10_keep_alive_on_request(self, service):
+        """An HTTP/1.0 request that asks for keep-alive gets it."""
+        raw = raw_exchange(
+            service,
+            b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"
+            b"GET /healthz HTTP/1.0\r\n\r\n",
+            timeout=3.0,
+        )
+        responses = raw.split(b"HTTP/1.1 200 OK\r\n")[1:]
+        assert len(responses) == 2, raw
+        assert b"Connection: keep-alive" in responses[0]
+        assert b"Connection: close" in responses[1]
+
+    def test_small_keep_alive_responses_do_not_stall(self, service):
+        """No ~40 ms Nagle/delayed-ACK wait on a keep-alive response."""
         parsed = urlparse(service.url)
         conn = http.client.HTTPConnection(
             parsed.hostname, parsed.port, timeout=30
         )
+        latencies = []
         try:
-            conn.request(
-                "GET", "/healthz", headers={"Connection": "close"}
-            )
-            resp = conn.getresponse()
-            assert resp.status == 200
-            resp.read()
-            assert resp.will_close
+            for _ in range(20):
+                t0 = time.perf_counter()
+                conn.request("GET", "/healthz")
+                resp = conn.getresponse()
+                resp.read()
+                latencies.append(time.perf_counter() - t0)
+                assert resp.status == 200
         finally:
             conn.close()
-
-
-class TestStreams:
-    def test_replay_ends_with_terminal_frame(self, service, finished_job):
-        frames = parse_sse(
-            read_stream(service, f"/jobs/{finished_job['id']}/stream")
-        )
-        kinds = [f["event"] for f in frames]
-        assert kinds[0] == "job_started"
-        assert kinds[-1] == "job_done"
-        ids = [f["id"] for f in frames if f["id"] is not None]
-        assert all(b > a for a, b in zip(ids, ids[1:]))
-
-    def test_last_event_id_resumes(self, service, finished_job):
-        full = parse_sse(
-            read_stream(service, f"/jobs/{finished_job['id']}/stream")
-        )
-        ids = [f["id"] for f in full if f["id"] is not None]
-        floor = ids[len(ids) // 2]
-        resumed = parse_sse(read_stream(
-            service,
-            f"/jobs/{finished_job['id']}/stream",
-            headers={"Last-Event-ID": str(floor)},
-        ))
-        resumed_ids = [f["id"] for f in resumed if f["id"] is not None]
-        assert resumed_ids == [i for i in ids if i > floor]
-
-    def test_caught_up_subscriber_gets_end_frame(
-        self, service, finished_job
-    ):
-        full = parse_sse(
-            read_stream(service, f"/jobs/{finished_job['id']}/stream")
-        )
-        last = max(f["id"] for f in full if f["id"] is not None)
-        tail = parse_sse(read_stream(
-            service,
-            f"/jobs/{finished_job['id']}/stream?last_event_id={last}",
-        ))
-        assert [f["event"] for f in tail] == ["end"]
-        assert tail[0]["data"]["state"] == "done"
-
-    def test_unknown_job_stream_404(self, service):
-        with pytest.raises(urllib.error.HTTPError) as err:
-            read_stream(service, "/jobs/nope/stream")
-        assert err.value.code == 404
+        assert statistics.median(latencies) < 0.020, latencies
 
 
 class TestAdmissionOverHttp:
@@ -289,7 +291,6 @@ class TestAdmissionOverHttp:
             port=0,
             workers=1,
             rate_cache=tmp_path / "rates.json",
-            frontend="async",
             admission_rate=0.001,
             admission_burst=1.0,
         )
@@ -352,7 +353,6 @@ class TestGracefulShutdown:
             port=0,
             workers=1,
             rate_cache=tmp_path / "rates.json",
-            frontend="async",
         )
         svc.start(start_workers=False)  # jobs queue, never run
         job_ids = []
@@ -363,8 +363,6 @@ class TestGracefulShutdown:
             job_ids.append(job["id"])
 
         # Hold a live stream open across the shutdown.
-        import threading
-
         captured = {}
 
         def consume():
@@ -396,13 +394,39 @@ class TestGracefulShutdown:
         finally:
             reopened.close()
 
+    def test_second_shutdown_waits_for_the_first(self):
+        """The CLI's main thread must not exit mid-drain while its
+        signal handler's thread is still shutting the service down."""
+        svc = ExperimentService(db_path="memory://", port=0, workers=1)
+        svc.start(start_workers=False)
+        release = threading.Event()
+        scheduler_shutdown = svc.scheduler.shutdown
+
+        def held_shutdown(**kwargs):
+            release.wait(timeout=10)
+            scheduler_shutdown(**kwargs)
+
+        svc.scheduler.shutdown = held_shutdown
+        first = threading.Thread(target=svc.shutdown, kwargs={"drain": False})
+        first.start()
+        deadline = time.monotonic() + 10
+        while not svc.stopping and time.monotonic() < deadline:
+            time.sleep(0.01)
+        second = threading.Thread(target=svc.shutdown, kwargs={"drain": False})
+        second.start()
+        second.join(timeout=0.5)
+        assert second.is_alive()
+        release.set()
+        first.join(timeout=10)
+        second.join(timeout=10)
+        assert not first.is_alive() and not second.is_alive()
+
     def test_submissions_after_shutdown_are_shed(self, tmp_path):
         svc = ExperimentService(
             db_path="memory://",
             port=0,
             workers=1,
             rate_cache=tmp_path / "rates.json",
-            frontend="async",
         )
         svc.start(start_workers=False)
         try:
@@ -413,3 +437,19 @@ class TestGracefulShutdown:
             assert "Retry-After" in err.value.headers
         finally:
             svc.shutdown(drain=False)
+
+
+class TestBind:
+    def test_port_in_use_raises_from_start(self, tmp_path):
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            svc = ExperimentService(db_path="memory://", port=port)
+            t0 = time.monotonic()
+            try:
+                with pytest.raises(OSError):
+                    svc.start(start_workers=False)
+            finally:
+                svc.shutdown(drain=False)
+            assert time.monotonic() - t0 < 5.0

@@ -1,8 +1,8 @@
-"""SSE fan-out at scale on the asyncio front end.
+"""SSE fan-out at scale.
 
-The headline test holds 100+ concurrent SSE subscribers against one
-event loop and requires every one of them to receive the complete,
-identical frame sequence with the terminal close.  The companion
+The headline test holds 100+ concurrent SSE subscribers against the
+front end's one event loop and requires every one of them to receive
+the complete, identical frame sequence with the terminal close.  The companion
 tests pin down the drop-oldest backpressure contract at the bus layer:
 a slow subscriber loses the *oldest* events, the loss is counted
 exactly, and fast subscribers lose nothing.
@@ -37,7 +37,6 @@ def service(tmp_path_factory):
         port=0,
         workers=2,
         rate_cache=tmp / "rates.json",
-        frontend="async",
     )
     svc.start()
     yield svc

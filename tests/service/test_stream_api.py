@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import time
 import urllib.error
 import urllib.request
 from urllib.parse import urlparse
@@ -198,19 +199,24 @@ class TestLiveGauges:
         text = self.get_metrics(service)
         assert self.scalar(text, "repro_stream_events_total") >= len(frames)
         assert self.scalar(text, "repro_stream_dropped_total") >= 0.0
-        # No stream is held open here, but the fleet-stream test's
-        # hang-up is only noticed at the server's next keepalive write
-        # — poll until that subscription drains rather than leak.
-        import time
-
-        deadline = time.monotonic() + 15.0
-        while time.monotonic() < deadline:
-            value = self.scalar(
-                self.get_metrics(service), "repro_stream_subscribers"
-            )
+        # A client that hangs up on an idle fleet stream is noticed at
+        # once, not at the server's next keepalive write (5 s away).
+        parsed = urlparse(service.url)
+        conn = http.client.HTTPConnection(
+            parsed.hostname, parsed.port, timeout=10
+        )
+        conn.request("GET", "/fleet/stream")
+        resp = conn.getresponse()  # holds the socket open
+        subscribers = "repro_stream_subscribers"
+        assert self.scalar(self.get_metrics(service), subscribers) >= 1.0
+        resp.close()
+        conn.close()
+        hung_up = time.monotonic()
+        while time.monotonic() - hung_up < 2.0:
+            value = self.scalar(self.get_metrics(service), subscribers)
             if value == 0.0:
                 break
-            time.sleep(0.5)
+            time.sleep(0.05)
         assert value == 0.0
 
     def test_effective_jobs_gauge_exposed(self, service, streamed_job):
@@ -247,8 +253,6 @@ class TestByteIdentity:
                 )
                 assert frames[-1]["event"] == "job_done"
             else:
-                import time
-
                 for _ in range(1200):
                     _, j = request_json(svc, "GET", f"/jobs/{job['id']}")
                     if j["state"] == "done":

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import ast
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -86,6 +87,35 @@ class TestApiDoc:
                         assert hasattr(module, alias.name), (
                             f"{node.module}.{alias.name}"
                         )
+
+
+def documented_serve_commands():
+    """``(file, argv)`` for each ``repro-powercap … serve …`` command line
+    in a shell block or an inline code span of README.md and docs/*.md."""
+    for path in [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]:
+        text = path.read_text()
+        snippets = re.findall(r"```(?:bash|sh|console)\n(.*?)```", text, re.S)
+        snippets += re.findall(r"`(repro-powercap [^`\n]*)`", text)
+        for snippet in snippets:
+            for line in snippet.replace("\\\n", " ").splitlines():
+                tokens = shlex.split(line, comments=True)
+                if tokens[:1] == ["repro-powercap"] and "serve" in tokens:
+                    yield path.name, [t for t in tokens[1:] if t != "&"]
+
+
+class TestServeCommands:
+    def test_every_documented_serve_command_parses(self):
+        """A flag removed from ``serve`` cannot linger in the docs."""
+        from repro.cli import build_parser
+
+        commands = list(documented_serve_commands())
+        assert len(commands) >= 4, commands
+        for name, argv in commands:
+            try:
+                args = build_parser().parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"{name}: repro-powercap {' '.join(argv)}")
+            assert args.command == "serve"
 
 
 class TestGroupCapExample:
