@@ -20,8 +20,6 @@ from .experiment import ExperimentResult
 from .metrics import AveragedResult
 
 __all__ = [
-    "averaged_to_dict",
-    "averaged_from_dict",
     "experiment_to_dict",
     "experiment_from_dict",
     "extract_timelines",
@@ -32,17 +30,7 @@ __all__ = [
 FORMAT_VERSION = 1
 
 
-def averaged_to_dict(row: AveragedResult) -> dict:
-    """A JSON-ready representation of one averaged table row."""
-    return _averaged_to_dict(row)
-
-
-def averaged_from_dict(data: dict) -> AveragedResult:
-    """Reconstruct one averaged row from its JSON representation."""
-    return _averaged_from_dict(data)
-
-
-def _averaged_to_dict(row: AveragedResult) -> dict:
+def _row_to_dict(row: AveragedResult) -> dict:
     doc = {
         "workload": row.workload,
         "cap_w": row.cap_w,
@@ -66,7 +54,7 @@ def _averaged_to_dict(row: AveragedResult) -> dict:
     return doc
 
 
-def _averaged_from_dict(data: dict) -> AveragedResult:
+def _row_from_dict(data: dict) -> AveragedResult:
     try:
         counters = {
             PapiEvent(name): float(v) for name, v in data["counters"].items()
@@ -105,9 +93,9 @@ def experiment_to_dict(result: ExperimentResult) -> dict:
     doc = {
         "format_version": FORMAT_VERSION,
         "workload": result.workload,
-        "baseline": _averaged_to_dict(result.baseline),
+        "baseline": _row_to_dict(result.baseline),
         "by_cap": {
-            f"{cap:g}": _averaged_to_dict(row)
+            f"{cap:g}": _row_to_dict(row)
             for cap, row in result.by_cap.items()
         },
     }
@@ -126,11 +114,11 @@ def experiment_from_dict(data: dict) -> ExperimentResult:
         )
     result = ExperimentResult(
         workload=data["workload"],
-        baseline=_averaged_from_dict(data["baseline"]),
+        baseline=_row_from_dict(data["baseline"]),
         provenance=data.get("provenance"),
     )
     for cap_str, row in data.get("by_cap", {}).items():
-        result.by_cap[float(cap_str)] = _averaged_from_dict(row)
+        result.by_cap[float(cap_str)] = _row_from_dict(row)
     return result
 
 

@@ -163,7 +163,6 @@ class ObsArchive:
     def _connect(self) -> sqlite3.Connection:
         conn = sqlite3.connect(self._path, timeout=30.0)
         conn.row_factory = sqlite3.Row
-        conn.execute("PRAGMA busy_timeout = 30000")
         return conn
 
     # ------------------------------------------------------------------

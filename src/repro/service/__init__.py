@@ -8,10 +8,11 @@ result durably keyed by the spec's content digest (identical
 resubmissions are store hits, never re-simulated), and exposes its
 health and throughput as Prometheus metrics.
 
-- :mod:`.jobs` — the frozen :class:`JobSpec`, job lifecycle states,
-  and the priority queue with retry backoff;
-- :mod:`.scheduler` — the worker pool driving
-  :class:`~repro.core.experiment.PowerCapExperiment`;
+- :mod:`.jobs` — the frozen :class:`JobSpec`, the one function that
+  turns a spec into its result document, job lifecycle states, and
+  the priority queue with retry backoff;
+- :mod:`.scheduler` — the worker pool that runs, stores and archives
+  each job;
 - :mod:`.shards` — partitioned worker processes routed by consistent
   hashing over spec digests, each owning a rate-cache partition;
 - :mod:`.store` — the pluggable result store (SQLite default,

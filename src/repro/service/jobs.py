@@ -1,11 +1,13 @@
 """Job model and priority queue for the experiment service.
 
 A *job* is one sweep request: the paper's methodology (workload, cap
-range, repetitions) plus execution knobs (seed, instruction-budget
-scale, process fan-out).  :class:`JobSpec` is frozen and canonically
-hashable — its :meth:`~JobSpec.digest` keys the persistent result
-store, so two submissions that would simulate the same thing
-deduplicate to one stored result.
+range, repetitions) plus the seed and instruction-budget scale.
+:class:`JobSpec` is frozen and canonically hashable — its
+:meth:`~JobSpec.digest` keys the persistent result store, so two
+submissions that would simulate the same thing deduplicate to one
+stored result.  :func:`run_spec` turns a spec into its result
+document; the scheduler's in-process path and every shard process call
+it, so a job's sweep is built in one place.
 
 :class:`JobQueue` is the scheduler's work source: a thread-safe
 priority queue (higher ``priority`` pops first, FIFO within a
@@ -28,10 +30,12 @@ from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..config import PAPER_POWER_CAPS_W
-from ..core.experiment import validate_caps
+from ..core.experiment import PowerCapExperiment, validate_caps
+from ..core.ratecache import RateCache
+from ..core.serialize import experiment_to_dict
 from ..errors import ConfigError
 from ..rng import DEFAULT_SEED
-from ..workloads import WORKLOAD_REGISTRY
+from ..workloads import WORKLOAD_REGISTRY, make_workload
 
 __all__ = [
     "JobState",
@@ -39,6 +43,7 @@ __all__ = [
     "Job",
     "JobQueue",
     "caps_from_range",
+    "run_spec",
 ]
 
 
@@ -104,8 +109,6 @@ class JobSpec:
     repetitions: int = 1
     seed: int = DEFAULT_SEED
     scale: float = 0.05
-    #: Process fan-out *within* the sweep (PowerCapExperiment jobs=N).
-    jobs: int = 1
 
     def __post_init__(self) -> None:
         if self.workload not in WORKLOAD_REGISTRY:
@@ -126,9 +129,6 @@ class JobSpec:
             )
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "seed", int(self.seed))
-        if int(self.jobs) < 1:
-            raise ConfigError("jobs (process fan-out) must be >= 1")
-        object.__setattr__(self, "jobs", int(self.jobs))
 
     def digest(self) -> str:
         """Stable content hash; the result store's primary key."""
@@ -139,9 +139,6 @@ class JobSpec:
             "seed": self.seed,
             "scale": self.scale,
         }
-        # ``jobs`` is deliberately excluded: parallel sweeps are
-        # bit-identical to serial ones, so fan-out cannot change the
-        # result and must not defeat dedup.
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.blake2b(blob, digest_size=16).hexdigest()
 
@@ -153,7 +150,6 @@ class JobSpec:
             "repetitions": self.repetitions,
             "seed": self.seed,
             "scale": self.scale,
-            "jobs": self.jobs,
         }
 
     @classmethod
@@ -195,6 +191,34 @@ class JobSpec:
                 data.get("cap_step_w", 5.0),
             )
         return cls(**kwargs)
+
+
+def run_spec(
+    spec: JobSpec,
+    rate_cache: Optional[RateCache] = None,
+    slice_accesses: int = 320_000,
+    batch: "bool | None" = None,
+) -> Dict[str, dict]:
+    """The spec's result document: ``{workload: experiment_to_dict(...)}``.
+
+    The sweep runs serially in the calling thread or process: a job is
+    one application at a small scale, and shards are the service's one
+    process layer.  The document is serialized here, once, in the
+    process that simulated it; the store and the archive take it as is.
+    """
+    experiment = PowerCapExperiment(
+        [make_workload(spec.workload, spec.scale)],
+        caps_w=spec.caps_w,
+        repetitions=spec.repetitions,
+        seed=spec.seed,
+        slice_accesses=slice_accesses,
+        rate_cache=rate_cache,
+        batch=batch,
+    )
+    return {
+        name: experiment_to_dict(result)
+        for name, result in experiment.run_all().items()
+    }
 
 
 @dataclass

@@ -1,9 +1,10 @@
 """Scheduler: a thread worker pool draining the job queue.
 
-Each worker pops the highest-priority queued job, builds the paper's
-:class:`~repro.core.experiment.PowerCapExperiment` from the spec, and
-drives ``run_all(jobs=spec.jobs)`` — so a single job can itself fan
-out over processes exactly as the CLI does.  All workers share one
+Each worker pops the highest-priority queued job and gets its result
+document from :func:`~repro.service.jobs.run_spec`, serially in the
+worker thread, or from the spec's shard process when sharded.  It
+stores that document and hands the same one to the archive, so each
+result is serialized once.  All workers share one
 :class:`~repro.core.ratecache.RateCache`, so distinct jobs over the
 same (workload, geometry, gating) skip trace simulation entirely.
 
@@ -25,16 +26,13 @@ from typing import Callable, Dict, List, Optional
 
 import os
 
-from ..core.experiment import ExperimentResult, PowerCapExperiment
 from ..core.ratecache import RateCache
-from ..core.serialize import experiment_from_dict, experiment_to_dict
 from ..errors import ReproError
 from ..obs.archive import ObsArchive, distill_experiment_doc
 from ..obs.logging import get_logger
 from ..obs.stream import JOB_TOPIC_PREFIX, event_bus, stream_context
 from ..obs.tracing import span
-from ..workloads import make_workload
-from .jobs import Job, JobQueue, JobSpec, JobState
+from .jobs import Job, JobQueue, JobSpec, JobState, run_spec
 from .metrics import ServiceMetrics
 from .shards import ShardPool
 from .store import ResultStoreBase
@@ -333,35 +331,19 @@ class ExperimentScheduler:
                     self._running -= 1
                     self._idle.notify_all()
 
-    def _run_spec(self, spec: JobSpec) -> Dict[str, ExperimentResult]:
+    def _run_spec(self, spec: JobSpec) -> Dict[str, dict]:
         if self._shard_pool is not None:
-            # Sharded path: the owning shard returns the serialized
-            # sweep document; deserializing here keeps every consumer
-            # (store, archive, SSE) on the same object shapes as the
-            # in-process path.  The round-trip is exact by contract, so
-            # the stored bytes are identical either way.
-            doc = self._shard_pool.run(spec.digest(), spec.to_dict())
-            return {
-                name: experiment_from_dict(payload)
-                for name, payload in doc.items()
-            }
-        workload = make_workload(spec.workload, spec.scale)
-        experiment = PowerCapExperiment(
-            [workload],
-            caps_w=spec.caps_w,
-            repetitions=spec.repetitions,
-            seed=spec.seed,
-            slice_accesses=self._slice_accesses,
+            # The owning shard returns the document it serialized.
+            return self._shard_pool.run(spec.digest(), spec.to_dict())
+        return run_spec(
+            spec,
             rate_cache=self._rate_cache,
+            slice_accesses=self._slice_accesses,
             batch=self._batch,
         )
-        return experiment.run_all(jobs=spec.jobs)
 
     def _archive_run(
-        self,
-        job: Job,
-        sweeps: Dict[str, ExperimentResult],
-        wall_s: float,
+        self, job: Job, doc: Dict[str, dict], wall_s: float
     ) -> None:
         """Distill one freshly simulated job into the archive.
 
@@ -372,11 +354,7 @@ class ExperimentScheduler:
         if self._archive is None:
             return
         try:
-            docs = {
-                name: experiment_to_dict(result)
-                for name, result in sweeps.items()
-            }
-            series, meta = distill_experiment_doc(docs, wall_s=wall_s)
+            series, meta = distill_experiment_doc(doc, wall_s=wall_s)
             meta["spec_digest"] = job.spec_digest
             self._archive.record_run(
                 job.id, "job", series, meta=meta, source="service"
@@ -420,9 +398,9 @@ class ExperimentScheduler:
                     # flushes and the phenomenon detectors into this
                     # job's topic for the SSE endpoint.
                     with stream_context(topic):
-                        sweeps = self._run_spec(job.spec)
-                self._store.put_result(job.spec_digest, sweeps)
-                self._archive_run(job, sweeps, time.perf_counter() - t0)
+                        doc = self._run_spec(job.spec)
+                self._store.put_result(job.spec_digest, doc)
+                self._archive_run(job, doc, time.perf_counter() - t0)
             job.state = JobState.DONE
             job.error = None
             job.finished_at = time.time()

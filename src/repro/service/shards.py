@@ -16,11 +16,12 @@ moves the simulation into a pool of long-lived **shard processes**:
   shard process only.  The parent observes partitions with
   ``RateCache(mode="ro")`` snapshots — it can count entries and report
   stats without ever writing another process's file;
-- results cross the process boundary as the **serialized sweep
-  document** (the exact ``experiment_to_dict`` JSON form the store
-  persists), so the sharded path stores byte-identical documents to
-  the in-process path — the serialize round-trip is exact by contract
-  (tier-1 ``tests/core/test_serialize.py``).
+- a shard runs each job through the same
+  :func:`~repro.service.jobs.run_spec` as the in-process path and
+  returns its **result document** (``{workload name:
+  experiment_to_dict(...)}``); the parent stores that document as is,
+  so the sharded path stores byte-identical documents to the
+  in-process path and serializes nothing itself.
 
 Like the sweep engine's warm-worker pool (PR 6), fan-out falls back to
 in-process execution where it cannot help: a single-core host, or a
@@ -123,11 +124,8 @@ def _shard_main(
     the child; the rate-cache partition is opened read-write here and
     nowhere else.
     """
-    from ..core.experiment import PowerCapExperiment
     from ..core.ratecache import RateCache
-    from ..core.serialize import experiment_to_dict
-    from ..workloads import make_workload
-    from .jobs import JobSpec
+    from .jobs import JobSpec, run_spec
 
     cache = (
         RateCache(rate_cache_path) if rate_cache_path is not None else None
@@ -139,22 +137,12 @@ def _shard_main(
             break
         t0 = time.perf_counter()
         try:
-            spec = JobSpec.from_dict(msg["spec"])
-            workload = make_workload(spec.workload, spec.scale)
-            experiment = PowerCapExperiment(
-                [workload],
-                caps_w=spec.caps_w,
-                repetitions=spec.repetitions,
-                seed=spec.seed,
-                slice_accesses=slice_accesses,
+            doc = run_spec(
+                JobSpec.from_dict(msg["spec"]),
                 rate_cache=cache,
+                slice_accesses=slice_accesses,
                 batch=batch,
             )
-            sweeps = experiment.run_all(jobs=spec.jobs)
-            doc = {
-                name: experiment_to_dict(result)
-                for name, result in sweeps.items()
-            }
             if cache is not None:
                 cache.save()
                 hits, misses = cache.hits, cache.misses

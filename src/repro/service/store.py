@@ -6,25 +6,25 @@ The service persists two kinds of state:
   attempts, timestamps), so a restarted service can recover queued
   work and answer status queries for past jobs;
 - **results** — one document per distinct :meth:`JobSpec.digest
-  <repro.service.jobs.JobSpec.digest>`: the full sweep document
-  (``{workload name: experiment_to_dict(...)}``), plus the same sweep
-  exploded into per-(workload, cap) rows for cheap tabular queries.
+  <repro.service.jobs.JobSpec.digest>`: the sweep document a job
+  produced (``{workload name: experiment_to_dict(...)}``), stored as
+  the one JSON text :meth:`ResultStoreBase.put_result` encodes.
 
-:class:`ResultStoreBase` is the backend contract.  All serialization
-lives in the base class — backends only move opaque JSON strings — so
-every backend round-trips results identically: the stored JSON is the
-exact on-disk format ``save_experiment`` writes, and results loaded
-from any store compare equal (dataclass equality, PAPI counter dicts
-included) to the live objects.  The conformance suite in
-``tests/service/test_store_conformance.py`` runs against every
-registered backend.
+:class:`ResultStoreBase` is the backend contract.  The base class does
+the one ``json.dumps`` of each document — backends only move opaque
+JSON strings — so every backend stores the same bytes, and results
+loaded from any store compare equal (dataclass equality, PAPI counter
+dicts included) to the live objects the document was made from.  The
+conformance suite in ``tests/service/test_store_conformance.py`` runs
+against every registered backend.
 
 Backends:
 
 - :class:`SQLiteResultStore` (default; ``ResultStore`` is a
-  compatibility alias) — one SQLite file, connections opened per call
-  with a busy timeout, safe from every scheduler worker and HTTP
-  handler thread without a shared-connection lock;
+  compatibility alias) — one SQLite file in SQLite's default rollback
+  journal mode, connections opened per call with a 30 s busy timeout,
+  safe from every scheduler worker and HTTP handler thread without a
+  shared-connection lock;
 - :class:`MemoryResultStore` — process-local dicts under a lock; no
   durability, no files.  Used by tests and by load benchmarks that
   must not measure filesystem latency;
@@ -52,11 +52,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from ..core.experiment import ExperimentResult
-from ..core.serialize import (
-    averaged_to_dict,
-    experiment_from_dict,
-    experiment_to_dict,
-)
+from ..core.serialize import experiment_from_dict
 from ..errors import ConfigError
 from ..obs.logging import get_logger
 from ..obs.tracing import span
@@ -77,9 +73,9 @@ class ResultStoreBase(abc.ABC):
     """Backend contract for job + result persistence.
 
     Concrete backends implement the raw keyed operations; everything
-    about *what* is stored — serialization, row explosion, dedup
-    semantics — is decided here, once, so two backends can never
-    drift in their on-disk document format.
+    about *what* is stored — the JSON encoding, dedup semantics — is
+    decided here, once, so two backends can never drift in their
+    on-disk document format.
     """
 
     #: Short backend tag for provenance / logs (``sqlite``, ``memory``).
@@ -115,17 +111,9 @@ class ResultStoreBase(abc.ABC):
 
     @abc.abstractmethod
     def _put_result_json(
-        self,
-        spec_digest: str,
-        created_at: float,
-        result_json: str,
-        rows: List[Tuple[str, str, str]],
+        self, spec_digest: str, created_at: float, result_json: str
     ) -> None:
-        """Upsert one sweep document and replace its exploded rows.
-
-        ``rows`` is ``[(workload, cap_label, row_json), ...]``; any
-        previously stored rows for the digest must be dropped first.
-        """
+        """Upsert one sweep document's JSON text."""
 
     @abc.abstractmethod
     def _get_result_json(self, spec_digest: str) -> Optional[str]:
@@ -134,10 +122,6 @@ class ResultStoreBase(abc.ABC):
     @abc.abstractmethod
     def has_result(self, spec_digest: str) -> bool:
         """Whether a sweep for this digest is already stored."""
-
-    @abc.abstractmethod
-    def result_rows(self, spec_digest: str) -> List[dict]:
-        """The exploded per-(workload, cap) rows for one digest."""
 
     @abc.abstractmethod
     def result_count(self) -> int:
@@ -154,67 +138,22 @@ class ResultStoreBase(abc.ABC):
     # Shared serialization (concrete)
     # ------------------------------------------------------------------
 
-    def put_result(
-        self, spec_digest: str, sweeps: Dict[str, ExperimentResult]
-    ) -> None:
-        """Persist one sweep document plus its exploded per-cap rows."""
+    def put_result(self, spec_digest: str, doc: Dict[str, dict]) -> None:
+        """Persist one result document as one sorted-key JSON text.
+
+        ``doc`` is ``{workload name: experiment_to_dict(...)}``, as
+        :func:`~repro.service.jobs.run_spec` returns it.
+        """
         with span("store_write", spec_digest=spec_digest):
-            doc = {
-                name: experiment_to_dict(result)
-                for name, result in sweeps.items()
-            }
-            rows: List[Tuple[str, str, str]] = []
-            for name, result in sweeps.items():
-                for row in result.rows():
-                    rows.append(
-                        (
-                            name,
-                            row.cap_label,
-                            json.dumps(averaged_to_dict(row), sort_keys=True),
-                        )
-                    )
             self._put_result_json(
-                spec_digest,
-                time.time(),
-                json.dumps(doc, sort_keys=True),
-                rows,
+                spec_digest, time.time(), json.dumps(doc, sort_keys=True)
             )
         _log.debug(
             "result_stored",
             spec_digest=spec_digest,
             backend=self.backend,
-            workloads=sorted(sweeps),
+            workloads=sorted(doc),
         )
-
-    def put_result_doc(self, spec_digest: str, doc: dict) -> None:
-        """Persist an already-serialized sweep document.
-
-        The sharded execution path moves serialized documents between
-        processes; this stores one without a serialize → deserialize →
-        re-serialize round-trip through live objects.  The rows are
-        re-exploded from the document, so the tabular view stays in
-        lockstep with :meth:`put_result`.
-        """
-        sweeps = {
-            name: experiment_from_dict(data) for name, data in doc.items()
-        }
-        rows: List[Tuple[str, str, str]] = []
-        for name, result in sweeps.items():
-            for row in result.rows():
-                rows.append(
-                    (
-                        name,
-                        row.cap_label,
-                        json.dumps(averaged_to_dict(row), sort_keys=True),
-                    )
-                )
-        with span("store_write", spec_digest=spec_digest):
-            self._put_result_json(
-                spec_digest,
-                time.time(),
-                json.dumps(doc, sort_keys=True),
-                rows,
-            )
 
     def get_result_dict(self, spec_digest: str) -> Optional[dict]:
         """The raw sweep document (JSON-decoded), or None."""
@@ -257,8 +196,12 @@ class ResultStoreBase(abc.ABC):
     @staticmethod
     def _job_from_record(row) -> Job:
         """Rebuild a :class:`Job` from a flat record (dict or sqlite Row)."""
+        spec = json.loads(row["spec_json"])
+        # Specs stored before the per-job process fan-out was retired
+        # carry its "jobs" key; it never entered the digest.
+        spec.pop("jobs", None)
         return Job(
-            spec=JobSpec.from_dict(json.loads(row["spec_json"])),
+            spec=JobSpec.from_dict(spec),
             id=row["id"],
             priority=row["priority"],
             state=JobState(row["state"]),
@@ -295,14 +238,6 @@ CREATE TABLE IF NOT EXISTS results (
     created_at  REAL NOT NULL,
     result_json TEXT NOT NULL
 );
-
-CREATE TABLE IF NOT EXISTS result_rows (
-    spec_digest TEXT NOT NULL,
-    workload    TEXT NOT NULL,
-    cap_label   TEXT NOT NULL,
-    row_json    TEXT NOT NULL,
-    PRIMARY KEY (spec_digest, workload, cap_label)
-);
 """
 
 
@@ -326,7 +261,6 @@ class SQLiteResultStore(ResultStoreBase):
     def _connect(self) -> sqlite3.Connection:
         conn = sqlite3.connect(self._path, timeout=30.0)
         conn.row_factory = sqlite3.Row
-        conn.execute("PRAGMA busy_timeout = 30000")
         return conn
 
     # ------------------------------------------------------------------
@@ -385,11 +319,7 @@ class SQLiteResultStore(ResultStoreBase):
     # ------------------------------------------------------------------
 
     def _put_result_json(
-        self,
-        spec_digest: str,
-        created_at: float,
-        result_json: str,
-        rows: List[Tuple[str, str, str]],
+        self, spec_digest: str, created_at: float, result_json: str
     ) -> None:
         with self._connect() as conn:
             conn.execute(
@@ -397,16 +327,6 @@ class SQLiteResultStore(ResultStoreBase):
                 "(spec_digest, created_at, result_json) VALUES (?, ?, ?)",
                 (spec_digest, created_at, result_json),
             )
-            conn.execute(
-                "DELETE FROM result_rows WHERE spec_digest = ?", (spec_digest,)
-            )
-            for workload, cap_label, row_json in rows:
-                conn.execute(
-                    "INSERT OR REPLACE INTO result_rows "
-                    "(spec_digest, workload, cap_label, row_json) "
-                    "VALUES (?, ?, ?, ?)",
-                    (spec_digest, workload, cap_label, row_json),
-                )
 
     def _get_result_json(self, spec_digest: str) -> Optional[str]:
         with self._connect() as conn:
@@ -422,22 +342,6 @@ class SQLiteResultStore(ResultStoreBase):
                 "SELECT 1 FROM results WHERE spec_digest = ?", (spec_digest,)
             ).fetchone()
         return row is not None
-
-    def result_rows(self, spec_digest: str) -> List[dict]:
-        with self._connect() as conn:
-            rows = conn.execute(
-                "SELECT workload, cap_label, row_json FROM result_rows "
-                "WHERE spec_digest = ? ORDER BY workload, cap_label",
-                (spec_digest,),
-            ).fetchall()
-        return [
-            {
-                "workload": r["workload"],
-                "cap_label": r["cap_label"],
-                "row": json.loads(r["row_json"]),
-            }
-            for r in rows
-        ]
 
     def result_count(self) -> int:
         with self._connect() as conn:
@@ -458,7 +362,6 @@ class MemoryResultStore(ResultStoreBase):
         self._lock = threading.RLock()
         self._jobs: Dict[str, dict] = {}
         self._results: Dict[str, Tuple[float, str]] = {}
-        self._rows: Dict[str, List[Tuple[str, str, str]]] = {}
 
     # Jobs ---------------------------------------------------------------
 
@@ -500,15 +403,10 @@ class MemoryResultStore(ResultStoreBase):
     # Results ------------------------------------------------------------
 
     def _put_result_json(
-        self,
-        spec_digest: str,
-        created_at: float,
-        result_json: str,
-        rows: List[Tuple[str, str, str]],
+        self, spec_digest: str, created_at: float, result_json: str
     ) -> None:
         with self._lock:
             self._results[spec_digest] = (created_at, result_json)
-            self._rows[spec_digest] = list(rows)
 
     def _get_result_json(self, spec_digest: str) -> Optional[str]:
         with self._lock:
@@ -518,18 +416,6 @@ class MemoryResultStore(ResultStoreBase):
     def has_result(self, spec_digest: str) -> bool:
         with self._lock:
             return spec_digest in self._results
-
-    def result_rows(self, spec_digest: str) -> List[dict]:
-        with self._lock:
-            rows = list(self._rows.get(spec_digest, ()))
-        return [
-            {
-                "workload": workload,
-                "cap_label": cap_label,
-                "row": json.loads(row_json),
-            }
-            for workload, cap_label, row_json in sorted(rows)
-        ]
 
     def result_count(self) -> int:
         with self._lock:

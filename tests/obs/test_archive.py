@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sqlite3
+from contextlib import closing
 
 import pytest
 
@@ -81,6 +82,9 @@ class TestArchiveBasics:
         again = ObsArchive(path)  # reopen must not clobber
         assert again.get_run("r1")["series"]["runs_per_s"] == 5.0
         assert again.path == str(path)
+        with closing(again._connect()) as conn:
+            timeout_ms = conn.execute("PRAGMA busy_timeout").fetchone()[0]
+        assert timeout_ms == 30000
 
     def test_directory_path_rejected(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -134,7 +134,9 @@ class TestRoundTrips:
 
     def test_sqlite_store_round_trip(self, swept, tmp_path):
         store = ResultStore(tmp_path / "store.sqlite3")
-        store.put_result("digest-1", {swept.workload: swept})
+        store.put_result(
+            "digest-1", {swept.workload: experiment_to_dict(swept)}
+        )
         restored = store.get_result("digest-1")[swept.workload]
         assert restored.provenance == swept.provenance
         assert restored == swept
@@ -172,7 +174,9 @@ class TestInspectCommand:
         store = ResultStore(db)
         job = Job(spec=JobSpec(workload="stereo", caps_w=(150.0,)))
         store.record_job(job)
-        store.put_result(job.spec_digest, {swept.workload: swept})
+        store.put_result(
+            job.spec_digest, {swept.workload: experiment_to_dict(swept)}
+        )
         assert main(["inspect", job.id, "--db", str(db)]) == 0
         out = capsys.readouterr().out
         assert job.id in out

@@ -225,6 +225,10 @@ class TestErrorPaths:
             service, "POST", "/jobs", {"workload": "linpack"}, 400
         )
         assert "unknown workload" in body["error"]
+        body = self.expect_status(
+            service, "POST", "/jobs", {"workload": "stereo", "jobs": 2}, 400
+        )
+        assert "unknown job spec fields: ['jobs']" in body["error"]
 
     def test_inverted_range_400(self, service):
         body = self.expect_status(

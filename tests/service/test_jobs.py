@@ -39,8 +39,9 @@ class TestJobSpec:
     def test_bad_repetitions_and_jobs_rejected(self):
         with pytest.raises(ConfigError):
             JobSpec(repetitions=0)
-        with pytest.raises(ConfigError):
-            JobSpec(jobs=0)
+        # The per-job process fan-out is retired: a spec has no ``jobs``.
+        with pytest.raises(TypeError):
+            JobSpec(jobs=1)
 
     def test_digest_is_stable_and_content_addressed(self):
         a = JobSpec(workload="stereo", caps_w=(150.0, 140.0), scale=0.01)
@@ -53,18 +54,15 @@ class TestJobSpec:
             workload="sire", caps_w=(150.0, 140.0), scale=0.01
         ).digest()
 
-    def test_digest_ignores_fanout(self):
-        # Parallel sweeps are bit-identical to serial, so the process
-        # fan-out must not defeat store dedup.
-        assert JobSpec(jobs=1).digest() == JobSpec(jobs=4).digest()
-
     def test_round_trips_through_dict(self):
         spec = JobSpec(workload="sire", caps_w=(145.0,), repetitions=2)
         assert JobSpec.from_dict(spec.to_dict()) == spec
 
     def test_from_dict_rejects_unknown_fields(self):
-        with pytest.raises(ConfigError, match="unknown job spec fields"):
-            JobSpec.from_dict({"workload": "stereo", "capz": [150]})
+        # ``jobs``, the retired per-job process fan-out, is unknown too.
+        for field in ("capz", "jobs"):
+            with pytest.raises(ConfigError, match="unknown job spec fields"):
+                JobSpec.from_dict({"workload": "stereo", field: 1})
 
     def test_from_dict_range_form(self):
         spec = JobSpec.from_dict(

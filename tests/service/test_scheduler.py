@@ -7,12 +7,15 @@ import time
 
 import pytest
 
+from repro.core import serialize
 from repro.errors import ConfigError
+from repro.obs.archive import ObsArchive
 from repro.service.jobs import JobSpec, JobState
 from repro.service.scheduler import ExperimentScheduler
+from repro.service.shards import ShardPool
 from repro.service.store import ResultStore
 
-from .test_store import make_result
+from .test_store import as_doc, make_result
 
 TINY = dict(caps_w=(150.0,), repetitions=1, scale=0.001)
 
@@ -41,7 +44,7 @@ def fake_run(scheduler, delay_s=0.0, fail_times=0):
             raise RuntimeError(f"injected crash #{n}")
         if delay_s:
             time.sleep(delay_s)
-        return {"StereoMatching": make_result()}
+        return as_doc({"StereoMatching": make_result()})
 
     scheduler._run_spec = _run
     return calls
@@ -228,3 +231,66 @@ class TestConcurrentLoad:
         assert scheduler.metrics.jobs_completed.value == 50
         # Every distinct digest landed exactly one stored result.
         assert store.result_count() == 8
+
+
+class TestSerializeOnce:
+    """Each timeline of a fresh job is serialized once, where it ran."""
+
+    @staticmethod
+    def count_timeline_serializations(monkeypatch):
+        calls = []
+        real = serialize.timeline_to_dict
+
+        def counting(timeline):
+            calls.append(timeline)
+            return real(timeline)
+
+        monkeypatch.setattr(serialize, "timeline_to_dict", counting)
+        return calls
+
+    @staticmethod
+    def run_one_job(scheduler):
+        scheduler.start()
+        job = scheduler.submit(JobSpec(**TINY))
+        assert scheduler.drain(timeout=120)
+        scheduler.shutdown(drain=False)
+        assert job.state is JobState.DONE and not job.deduplicated
+        return job
+
+    @staticmethod
+    def timelines_in(doc):
+        return sum(
+            "timeline" in row
+            for sweep in doc.values()
+            for row in [sweep["baseline"], *sweep["by_cap"].values()]
+        )
+
+    def test_in_process_job_serializes_each_timeline_once(
+        self, store, tmp_path, monkeypatch
+    ):
+        archive = ObsArchive(tmp_path / "archive.sqlite3")
+        scheduler = make_scheduler(store, workers=1, archive=archive)
+        calls = self.count_timeline_serializations(monkeypatch)
+        job = self.run_one_job(scheduler)
+        doc = store.get_result_dict(job.spec_digest)
+        assert self.timelines_in(doc) == 2  # baseline + one cap
+        assert len(calls) == self.timelines_in(doc)
+        assert [r["run_id"] for r in archive.runs()] == [job.id]
+
+    def test_sharded_parent_serializes_nothing(
+        self, store, tmp_path, monkeypatch
+    ):
+        # What ``serve --shards 2`` builds on any host with
+        # REPRO_SHARD_FORCE=1.  The pool forks before the counter goes
+        # in, so only this process's calls are counted.
+        pool = ShardPool(2, rate_cache=tmp_path / "rates.json")
+        pool.start()
+        archive = ObsArchive(tmp_path / "archive.sqlite3")
+        scheduler = make_scheduler(
+            store, workers=1, archive=archive, shard_pool=pool
+        )
+        calls = self.count_timeline_serializations(monkeypatch)
+        job = self.run_one_job(scheduler)
+        assert self.timelines_in(store.get_result_dict(job.spec_digest)) == 2
+        assert calls == []
+        assert [r["run_id"] for r in archive.runs()] == [job.id]

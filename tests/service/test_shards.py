@@ -188,7 +188,10 @@ class TestShardedService:
             seed=SPEC.seed,
         ).run_all()
         reference = MemoryResultStore()
-        reference.put_result(SPEC.digest(), direct)
+        reference.put_result(
+            SPEC.digest(),
+            {name: experiment_to_dict(r) for name, r in direct.items()},
+        )
         expected = reference.get_result_dict(SPEC.digest())
         for docs in (served, expected):
             for payload in docs.values():

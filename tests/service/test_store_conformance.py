@@ -2,15 +2,16 @@
 
 The pluggable-store contract: any backend reachable through
 ``open_store`` must behave identically for job CRUD, result dedup,
-per-cap rows, concurrent writers, and — the property everything else
-leans on — byte-identical storage of serialized sweep documents.
-A future Postgres backend plugs into this suite unchanged.
+concurrent writers, and — the property everything else leans on —
+byte-identical storage of serialized sweep documents.  A future
+Postgres backend plugs into this suite unchanged.
 """
 
 from __future__ import annotations
 
 import json
 import threading
+from contextlib import closing
 
 import pytest
 
@@ -26,6 +27,8 @@ from repro.service.store import (
     open_store,
 )
 from repro.workloads import make_workload
+
+from .test_store import as_doc
 
 BACKENDS = ("sqlite", "memory")
 
@@ -108,13 +111,13 @@ class TestResults:
     def test_put_and_has_result(self, store, sweeps):
         spec, results = sweeps
         assert not store.has_result(spec.digest())
-        store.put_result(spec.digest(), results)
+        store.put_result(spec.digest(), as_doc(results))
         assert store.has_result(spec.digest())
         assert store.result_count() == 1
 
     def test_round_trip_is_byte_identical(self, store, sweeps):
         spec, results = sweeps
-        store.put_result(spec.digest(), results)
+        store.put_result(spec.digest(), as_doc(results))
         doc = store.get_result_dict(spec.digest())
         expected = {
             name: json.loads(
@@ -124,51 +127,20 @@ class TestResults:
         }
         assert doc == expected
 
-    def test_put_result_doc_stores_identical_bytes(self, store, sweeps):
-        """The sharded path's entry point stores the same document."""
-        spec, results = sweeps
-        doc = {
-            name: json.loads(
-                json.dumps(experiment_to_dict(result), sort_keys=True)
-            )
-            for name, result in results.items()
-        }
-        store.put_result_doc(spec.digest(), doc)
-        assert store.get_result_dict(spec.digest()) == doc
-
-    def test_result_rows_exploded_per_cap(self, store, sweeps):
-        spec, results = sweeps
-        store.put_result(spec.digest(), results)
-        rows = store.result_rows(spec.digest())
-        labels = {(r["workload"], r["cap_label"]) for r in rows}
-        # One baseline row + one per cap, per workload.
-        assert labels == {
-            ("StereoMatching", "baseline"),
-            ("StereoMatching", "150"),
-            ("StereoMatching", "140"),
-        }
-
     def test_overwrite_same_digest_is_idempotent(self, store, sweeps):
         spec, results = sweeps
-        store.put_result(spec.digest(), results)
-        store.put_result(spec.digest(), results)
+        store.put_result(spec.digest(), as_doc(results))
+        store.put_result(spec.digest(), as_doc(results))
         assert store.result_count() == 1
 
     def test_missing_result_is_none(self, store):
         assert store.get_result_dict("absent") is None
-        assert store.result_rows("absent") == []
 
 
 class TestConcurrency:
     def test_concurrent_writers_all_land(self, store, sweeps):
         """Writers on many threads: every job and result survives."""
-        _, results = sweeps
-        doc = {
-            name: json.loads(
-                json.dumps(experiment_to_dict(result), sort_keys=True)
-            )
-            for name, result in results.items()
-        }
+        doc = as_doc(sweeps[1])
         errors = []
 
         def write(k: int) -> None:
@@ -176,7 +148,7 @@ class TestConcurrency:
                 spec = JobSpec(workload="stereo", seed=7000 + k)
                 job = Job(spec=spec)
                 store.record_job(job)
-                store.put_result_doc(spec.digest(), doc)
+                store.put_result(spec.digest(), doc)
             except Exception as exc:  # noqa: BLE001 — surfaced below
                 errors.append(exc)
 
@@ -197,6 +169,9 @@ class TestOpenStore:
         store = open_store(tmp_path / "s.sqlite3")
         assert isinstance(store, SQLiteResultStore)
         assert store.backend == "sqlite"
+        # connect(timeout=30.0) is the store's whole lock-wait policy.
+        with closing(store._connect()) as conn:
+            assert conn.execute("PRAGMA busy_timeout").fetchone()[0] == 30000
 
     def test_sqlite_url(self, tmp_path):
         store = open_store(f"sqlite://{tmp_path}/s.sqlite3")
