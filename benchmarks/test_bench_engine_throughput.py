@@ -272,9 +272,10 @@ def test_bench_observability_overhead(benchmark):
 def test_bench_fleet_health_overhead(benchmark):
     """Health rollups cost < 10% of the fleet engine's node-steps/s.
 
-    The BENCH_fleet baseline runs with telemetry off; health rollups
-    are the one observability feature meant to be turnable-on at fleet
-    scale, so their cost is guarded against that same configuration:
+    The fleet's real-time floor (``tests/fleet/test_engine.py``) runs
+    with telemetry off; health rollups are the one observability
+    feature meant to be turnable-on at fleet scale, so their cost is
+    guarded against that same configuration:
     the identical topology/traffic stepped with ``health=True`` must
     retain >= 90% of the bare engine's node-steps/s.
 

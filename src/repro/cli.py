@@ -24,8 +24,8 @@ Subcommands map one-to-one onto the paper's experiments:
   bus, fleet health, detections);
 - ``trends``      — regression trends over the observability archive's
   run history (median-shift per series against a named baseline,
-  ASCII sparklines, ``--check`` for CI gating, ``--ingest`` to append
-  BENCH_*.json documents);
+  ASCII sparklines, ``--check`` to fail on drift, ``--ingest`` to append
+  BENCH_sweep.json documents);
 - ``compare``     — per-series deltas between two archived runs.
 
 All subcommands accept ``--scale`` to shrink the instruction budgets
@@ -532,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     trends = sub.add_parser(
         "trends",
         help="regression trends over the archived run history "
-        "(median-shift per series, sparklines; --check gates CI)",
+        "(median-shift per series, sparklines; --check fails on drift)",
     )
     trends.add_argument(
         "--archive",
@@ -545,14 +545,13 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         default=None,
         metavar="PATH",
-        help="BENCH_sweep.json / BENCH_fleet.json document to append "
-        "into the archive before analysing (repeatable)",
+        help="BENCH_sweep.json document to append into the archive "
+        "before analysing (repeatable)",
     )
     trends.add_argument(
         "--kind",
         default=None,
-        help="restrict to one run kind (job, fleet, bench_sweep, "
-        "bench_fleet)",
+        help="restrict to one run kind (job, fleet, bench_sweep)",
     )
     trends.add_argument(
         "--series",

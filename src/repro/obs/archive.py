@@ -2,14 +2,14 @@
 
 Every observability surface built so far is ephemeral — ``/metrics``
 is a point-in-time scrape, timelines live inside one result document,
-and the bench trajectory (``BENCH_*.json``) is overwritten in place.
+and the sweep benchmark's ``BENCH_sweep.json`` is overwritten in place.
 The paper's core claim is a *relationship over time* (how per-core
 performance degrades as DCM tightens the cap), and tuning the
 reproduction at scale needs the same longitudinal view of itself:
 throughput across commits, phase latencies across runs, fleet health
 across configurations.  This module is that durable substrate — a
 stdlib-SQLite warehouse the service, the CLI, the fleet engine, and
-the bench scripts all write into:
+the sweep benchmark all write into:
 
 - **metric snapshots** — :class:`MetricsRecorder` scrapes the live
   registries on a background thread and lands each series as a
@@ -18,7 +18,7 @@ the bench scripts all write into:
   :class:`~repro.obs.timeseries.SeriesChannel`;
 - **run records** — one distilled row set per completed run (service
   jobs at the scheduler's completion hook, ``fleet --archive`` runs,
-  ingested ``BENCH_sweep.json`` / ``BENCH_fleet.json`` documents):
+  ingested ``BENCH_sweep.json`` documents):
   scalar series like ``runs_per_s``, ``phase.<name>_s``, per-cap
   execution seconds, detector counts;
 - **fleet-health windows** — :meth:`health_sink` plugs into
@@ -553,32 +553,24 @@ class ObsArchive:
         ts: Optional[float] = None,
         run_id: Optional[str] = None,
     ) -> Tuple[str, str]:
-        """Append one ``BENCH_*.json`` document; returns (kind, run_id).
+        """Append one ``BENCH_sweep.json`` document; returns (kind, run_id).
 
-        The document is identified by its ``benchmark`` key
-        (``table2-sweep`` → ``bench_sweep``, ``fleet-scale`` →
-        ``bench_fleet``, ``service-load`` → ``bench_service``); each
-        ingestion is a new run record, so the bench trajectory finally
-        accumulates instead of overwriting itself.
+        The document must carry ``benchmark: table2-sweep``; it lands as
+        a ``bench_sweep`` run record, and each ingestion is a new one,
+        so the bench trajectory accumulates instead of overwriting
+        itself.
         """
         if not isinstance(doc, dict):
             raise SimulationError("bench document must be a JSON object")
         bench = doc.get("benchmark")
         now = time.time() if ts is None else float(ts)
-        if bench == "table2-sweep":
-            kind = "bench_sweep"
-            series = _distill_bench_sweep(doc)
-        elif bench == "fleet-scale":
-            kind = "bench_fleet"
-            series = _distill_bench_fleet(doc)
-        elif bench == "service-load":
-            kind = "bench_service"
-            series = _distill_bench_service(doc)
-        else:
+        if bench != "table2-sweep":
             raise SimulationError(
                 f"unrecognised bench document (benchmark={bench!r}); "
-                "expected table2-sweep, fleet-scale, or service-load"
+                "expected table2-sweep"
             )
+        kind = "bench_sweep"
+        series = _distill_bench_sweep(doc)
         if run_id is None:
             run_id = f"{kind}-{now:.3f}"
         meta = {
@@ -622,56 +614,6 @@ def _distill_bench_sweep(doc: dict) -> Dict[str, float]:
             series[f"single_run.{key}"] = float(single[key])
     if not series:
         raise SimulationError("bench sweep document carries no series")
-    return series
-
-
-def _distill_bench_fleet(doc: dict) -> Dict[str, float]:
-    series: Dict[str, float] = {}
-    sizes = doc.get("sizes") or {}
-    largest = None
-    for key, entry in sizes.items():
-        if not isinstance(entry, dict):
-            continue
-        rate = entry.get("node_steps_per_s")
-        if isinstance(rate, (int, float)):
-            series[f"node_steps_per_s.{key}"] = float(rate)
-            if largest is None or int(key) > largest:
-                largest = int(key)
-        wall = entry.get("wall_s")
-        if isinstance(wall, (int, float)):
-            series[f"wall_s.{key}"] = float(wall)
-    if largest is not None:
-        series["node_steps_per_s"] = series[f"node_steps_per_s.{largest}"]
-    if not series:
-        raise SimulationError("bench fleet document carries no series")
-    return series
-
-
-def _distill_bench_service(doc: dict) -> Dict[str, float]:
-    series: Dict[str, float] = {}
-    submit = doc.get("submit") or {}
-    for key in (
-        "throughput_per_s",
-        "p50_ms",
-        "p95_ms",
-        "p99_ms",
-        "submitted",
-        "shed",
-    ):
-        if isinstance(submit.get(key), (int, float)):
-            series[f"submit.{key}"] = float(submit[key])
-    drain = doc.get("drain") or {}
-    for key in ("jobs_per_s", "wall_s", "completed"):
-        if isinstance(drain.get(key), (int, float)):
-            series[f"drain.{key}"] = float(drain[key])
-    sse = doc.get("sse") or {}
-    for key in ("subscribers", "events_delivered", "dropped"):
-        if isinstance(sse.get(key), (int, float)):
-            series[f"sse.{key}"] = float(sse[key])
-    if isinstance(submit.get("throughput_per_s"), (int, float)):
-        series["throughput_per_s"] = float(submit["throughput_per_s"])
-    if not series:
-        raise SimulationError("bench service document carries no series")
     return series
 
 

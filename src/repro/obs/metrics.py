@@ -683,7 +683,8 @@ class FleetMetrics:
     - ``repro_fleet_runs_total`` — completed fleet runs;
     - ``repro_fleet_steps_total`` — fleet control ticks simulated;
     - ``repro_fleet_node_steps_total`` — node-steps (ticks x nodes),
-      the unit ``scripts/bench_fleet.py`` rates;
+      the unit of the fleet's real-time floor (1M node-steps/s at
+      100k nodes);
     - ``repro_fleet_rebalances_total`` — budget-tree re-divisions that
       actually moved caps;
     - ``repro_fleet_escalations_total`` — cascading cap escalations

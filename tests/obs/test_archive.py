@@ -49,20 +49,6 @@ def sweep_doc(runs_per_s=100.0):
     }
 
 
-def fleet_doc():
-    """A minimal BENCH_fleet.json document."""
-    return {
-        "schema": 1,
-        "benchmark": "fleet-scale",
-        "machine": {"cpu_count": 4},
-        "parameters": {},
-        "sizes": {
-            "960": {"wall_s": 1.0, "node_steps_per_s": 2.0e6},
-            "99840": {"wall_s": 9.0, "node_steps_per_s": 1.5e6},
-        },
-    }
-
-
 def seed_sweep_history(archive, rates):
     """One bench_sweep run per rate, with strictly increasing ts."""
     run_ids = []
@@ -245,18 +231,17 @@ class TestBenchIngestion:
         assert run["series"]["single_run.speedup"] == 1.3
         assert run["meta"]["benchmark"] == "table2-sweep"
 
-    def test_ingest_fleet(self, archive):
-        kind, run_id = archive.ingest_bench(fleet_doc())
-        assert kind == "bench_fleet"
-        series = archive.get_run(run_id)["series"]
-        # Headline tracks the largest fleet size.
-        assert series["node_steps_per_s"] == 1.5e6
-        assert series["node_steps_per_s.960"] == 2.0e6
-        assert series["wall_s.99840"] == 9.0
-
     def test_ingest_rejects_unknown_document(self, archive):
-        with pytest.raises(SimulationError):
-            archive.ingest_bench({"benchmark": "nope"})
+        for doc in (
+            {"benchmark": "nope"},
+            # The retired fleet and service benchmarks' documents.
+            {"benchmark": "fleet-scale", "sizes": {
+                "99840": {"wall_s": 9.0, "node_steps_per_s": 1.5e6}}},
+            {"benchmark": "service-load", "submit": {
+                "throughput_per_s": 84.4, "p99_ms": 911.1}},
+        ):
+            with pytest.raises(SimulationError):
+                archive.ingest_bench(doc)
         with pytest.raises(SimulationError):
             archive.ingest_bench([1, 2, 3])
         with pytest.raises(SimulationError):

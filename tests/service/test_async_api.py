@@ -5,7 +5,8 @@ byte-identical to a direct in-process sweep; keep-alive reuse and the
 close rules of HTTP/1.1 and HTTP/1.0; no delayed-ACK stall on small
 keep-alive responses; 405 and 413; requests the parser refuses
 answered with 400/413/414/431 and ``Connection: close``; admission
-sheds with ``Retry-After``; bind errors raised by ``start``; and
+sheds (rate limit and full queue) with ``Retry-After``; concurrent
+keep-alive submission; bind errors raised by ``start``; and
 graceful shutdown (queued jobs re-recorded, open streams closed with a
 terminal ``end`` frame).  The routes themselves are covered in
 ``test_api.py`` and the SSE streams in ``test_stream_api.py``.
@@ -343,6 +344,98 @@ class TestAdmissionOverHttp:
         ]
         assert shed_lines and float(shed_lines[0].split()[-1]) >= 1.0
         assert tight_service.admission.shed_counts()["rate_limit"] >= 1.0
+
+    def test_full_queue_sheds_503_with_retry_after(self):
+        svc = ExperimentService(
+            db_path="memory://", port=0, workers=1, max_queue_depth=4
+        )
+        svc.start(start_workers=False)  # nothing drains the queue
+        try:
+            parsed = urlparse(svc.url)
+            conn = http.client.HTTPConnection(
+                parsed.hostname, parsed.port, timeout=30
+            )
+            sheds = []
+            try:
+                # Distinct specs from distinct clients: no dedup and no
+                # rate limit, so only the bounded queue can shed.
+                for k in range(16):
+                    conn.request(
+                        "POST",
+                        "/jobs",
+                        body=json.dumps(dict(SPEC, seed=6000 + k)),
+                        headers={
+                            "Content-Type": "application/json",
+                            "X-Client-Id": f"filler-{k}",
+                        },
+                    )
+                    resp = conn.getresponse()
+                    resp.read()
+                    if resp.status == 503:
+                        sheds.append(resp.getheader("Retry-After"))
+                        break
+                    assert resp.status == 201
+            finally:
+                conn.close()
+            assert len(sheds) == 1 and float(sheds[0]) > 0
+            assert svc.scheduler.queue_depth() == 4
+            _, raw, _ = request(svc, "GET", "/metrics")
+            (queue_full,) = [
+                line
+                for line in raw.decode().splitlines()
+                if line.startswith("repro_admission_shed_total")
+                and 'reason="queue_full"' in line
+            ]
+            assert float(queue_full.split()[-1]) == len(sheds)
+        finally:
+            svc.shutdown(drain=False)
+
+
+class TestConcurrentSubmission:
+    def test_keep_alive_clients_all_admitted_and_done(self, tmp_path):
+        """8 keep-alive clients x 25 POSTs of 4 distinct specs: every
+        submission is admitted and every job finishes DONE."""
+        svc = ExperimentService(
+            db_path=tmp_path / "svc.sqlite3",
+            port=0,
+            workers=2,
+            rate_cache=tmp_path / "rates.json",
+        )
+        svc.start()
+        try:
+            parsed = urlparse(svc.url)
+            statuses = []
+
+            def client():
+                conn = http.client.HTTPConnection(
+                    parsed.hostname, parsed.port, timeout=60
+                )
+                try:
+                    for i in range(25):
+                        conn.request(
+                            "POST",
+                            "/jobs",
+                            body=json.dumps(dict(SPEC, seed=7000 + i % 4)),
+                            headers={"Content-Type": "application/json"},
+                        )
+                        resp = conn.getresponse()
+                        resp.read()
+                        statuses.append(resp.status)
+                finally:
+                    conn.close()
+
+            threads = [threading.Thread(target=client) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert statuses == [201] * 200
+            assert svc.scheduler.drain(timeout=60)
+            counts = svc.scheduler.counts_by_state()
+            assert counts["done"] == 200 and counts["failed"] == 0
+        finally:
+            svc.shutdown(drain=False)
 
 
 class TestGracefulShutdown:

@@ -25,6 +25,13 @@ class TestReadme:
         for ref in ("DESIGN.md", "EXPERIMENTS.md", "examples/"):
             assert ref in readme
             assert (REPO / ref.rstrip("/")).exists()
+        # Every script and benchmark baseline the docs name exists.
+        for doc in [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]:
+            text = doc.read_text()
+            for ref in re.findall(
+                r"scripts/\w+\.py|BENCH_\w+\.json", text
+            ):
+                assert (REPO / ref).exists(), f"{doc.name} names {ref}"
 
     def test_example_scripts_exist(self, readme):
         for name in re.findall(r"`([a-z_]+\.py)`", readme):
