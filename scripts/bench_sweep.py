@@ -4,10 +4,9 @@
 Measures the three numbers docs/PERFORMANCE.md commits to:
 
 - **sweep wall-clock** — the full Table II experiment (both paper
-  workloads, all nine caps plus the uncapped baseline) at ``--jobs 1``
-  (per-run and batch-engine paths) and ``--jobs 4``, with runs/s for
-  each and the ``effective_jobs`` each sweep actually used after the
-  single-core / tiny-chunk fallbacks;
+  workloads, all nine caps plus the uncapped baseline), run serially
+  on the per-run and the batch-engine path (``jobs1`` and
+  ``jobs1_batch``), with runs/s for each;
 - **single-run speedup** — one 120 W Stereo run through the scalar
   loop versus the block-step kernel, interleaved best-of-N so the two
   paths see the same thermal/cache conditions of the host;
@@ -20,25 +19,19 @@ Modes::
     PYTHONPATH=src python scripts/bench_sweep.py --check    # CI regression guard
 
 ``--check`` re-measures and compares against the committed
-``BENCH_sweep.json``: it fails (exit 1) when the jobs=1 sweep
+``BENCH_sweep.json``: it fails (exit 1) when the per-run sweep
 wall-clock regresses by more than ``--tolerance`` (default 20 %), or
 when the machine-independent ratios degrade — single-run speedup
 below ``--min-speedup``, kernel engagement below
-``--min-engagement``, or the batched jobs=1 sweep slower than
+``--min-engagement``, or the batched sweep slower than
 ``--min-batch-ratio`` of the per-run one.  The ratio guards are the
 portable part of the contract (wall-clock shifts with host hardware;
 the speedup and engagement of a deterministic simulation do not).
 
-The parallel guard is gated on the host: on a >= 4-core runner the
-jobs=4 sweep must reach ``--min-parallel-speedup`` (default 2.0x) over
-jobs=1; on a single-core host the pool falls back to in-process
-execution by design, so the guard is *skipped with a warning* instead
-of failing (``effective_jobs`` in the artifact records the fallback).
-
-Schema 2 artifacts add ``effective_jobs`` per sweep plus
-``batch_runs_per_s`` and ``chunk_overhead_ms``; ``--check`` still
-reads schema-1 baselines (the shared fields are compared, the new
-ones skipped).
+Schema 3 artifacts time serial sweeps only.  ``--check`` still reads
+schema-1 and schema-2 baselines: the shared fields are compared, and
+a schema-2 baseline's process-pool sweep (``jobs4``,
+``parallel_speedup``, ``chunk_overhead_ms``) is ignored.
 """
 
 from __future__ import annotations
@@ -62,7 +55,7 @@ from repro.core.runner import NodeRunner  # noqa: E402
 from repro.workloads.sar import SireRsmWorkload  # noqa: E402
 from repro.workloads.stereo import StereoMatchingWorkload  # noqa: E402
 
-SCHEMA = 2
+SCHEMA = 3
 DEFAULT_OUT = REPO / "BENCH_sweep.json"
 
 
@@ -74,8 +67,8 @@ def _scaled(workload, scale):
     return workload
 
 
-def _bench_sweep(jobs, args, rate_cache, batch=None):
-    """Wall-clock one full Table II sweep at the given worker count."""
+def _bench_sweep(args, rate_cache, batch=None):
+    """Wall-clock one full Table II sweep."""
     experiment = PowerCapExperiment(
         [
             _scaled(StereoMatchingWorkload(), args.scale),
@@ -92,11 +85,9 @@ def _bench_sweep(jobs, args, rate_cache, batch=None):
     wall = float("inf")
     for _ in range(2):  # best-of-2: the guard wants a floor, not noise
         t0 = time.perf_counter()
-        experiment.run_all(jobs=jobs)
+        experiment.run_all()
         wall = min(wall, time.perf_counter() - t0)
     return {
-        "jobs": jobs,
-        "effective_jobs": experiment.last_effective_jobs,
         "batch": batch if batch is not None else True,
         "runs": runs,
         "wall_s": round(wall, 3),
@@ -147,15 +138,10 @@ def measure(args):
         # the one-time trace simulation (same policy a user gets via
         # --rate-cache across repeated sweeps).
         cache = os.path.join(tmp, "rates.json")
-        _bench_sweep(1, args, cache)
-        jobs1 = _bench_sweep(1, args, cache, batch=False)
-        jobs1_batch = _bench_sweep(1, args, cache, batch=True)
-        jobs4 = _bench_sweep(4, args, cache)
+        _bench_sweep(args, cache)
+        jobs1 = _bench_sweep(args, cache, batch=False)
+        jobs1_batch = _bench_sweep(args, cache, batch=True)
     single = _bench_single_run(args)
-    # Dispatch overhead the chunked pool pays beyond ideal scaling of
-    # the batched serial sweep (0 when the pool fell back in-process).
-    ideal = jobs1_batch["wall_s"] / max(1, jobs4["effective_jobs"])
-    chunk_overhead_ms = round(max(0.0, jobs4["wall_s"] - ideal) * 1e3, 1)
     return {
         "schema": SCHEMA,
         "benchmark": "table2-sweep",
@@ -174,12 +160,7 @@ def measure(args):
         "sweep": {
             "jobs1": jobs1,
             "jobs1_batch": jobs1_batch,
-            "jobs4": jobs4,
-            "parallel_speedup": round(
-                jobs1["wall_s"] / jobs4["wall_s"], 2
-            ),
             "batch_runs_per_s": jobs1_batch["runs_per_s"],
-            "chunk_overhead_ms": chunk_overhead_ms,
         },
         "single_run_120w": single,
     }
@@ -210,9 +191,9 @@ def check(doc, baseline, args):
             f"kernel engagement {engagement:.1%} below the "
             f"{args.min_engagement:.0%} floor"
         )
-    # Batched jobs=1 must stay within --min-batch-ratio of the per-run
-    # path (the engine's contract is "never meaningfully slower"; the
-    # big wins come from warm workers on multi-core hosts).
+    # The batched sweep must stay within --min-batch-ratio of the
+    # per-run path (the engine's contract is "never meaningfully
+    # slower").
     ratio = (
         doc["sweep"]["batch_runs_per_s"]
         / doc["sweep"]["jobs1"]["runs_per_s"]
@@ -221,34 +202,6 @@ def check(doc, baseline, args):
         failures.append(
             f"batched sweep at {ratio:.2f}x of the per-run sweep, "
             f"below the {args.min_batch_ratio:.2f}x floor"
-        )
-    # Parallel guard, gated on the host: fan-out cannot help a
-    # single-core runner (the pool falls back in-process by design),
-    # so skip with a warning there instead of failing.
-    cpus = os.cpu_count() or 1
-    if cpus >= 4:
-        speedup = doc["sweep"]["parallel_speedup"]
-        if speedup < args.min_parallel_speedup:
-            failures.append(
-                f"parallel speedup {speedup:.2f}x at jobs=4 below the "
-                f"{args.min_parallel_speedup:.1f}x floor on a "
-                f"{cpus}-CPU host"
-            )
-    elif cpus > 1:
-        if doc["sweep"]["jobs4"]["wall_s"] >= doc["sweep"]["jobs1"]["wall_s"]:
-            failures.append(
-                "jobs=4 sweep is not faster than jobs=1 on a "
-                f"{cpus}-CPU host"
-            )
-    else:
-        print(
-            "SKIP: single-core host "
-            f"(effective_jobs={doc['sweep']['jobs4']['effective_jobs']}) "
-            "— parallel speedup guard not applicable; the "
-            f">={args.min_parallel_speedup:.1f}x jobs=4 floor "
-            "introduced with the warm-worker sweep engine has still "
-            "only ever been asserted on multi-core CI, never verified "
-            "on this class of host"
         )
     return failures
 
@@ -294,13 +247,7 @@ def main(argv=None):
         "--min-batch-ratio",
         type=float,
         default=0.75,
-        help="floor on batched/per-run jobs=1 throughput (default 0.75)",
-    )
-    parser.add_argument(
-        "--min-parallel-speedup",
-        type=float,
-        default=2.0,
-        help="jobs=4 speedup floor, enforced on >=4-core hosts only",
+        help="floor on batched/per-run throughput (default 0.75)",
     )
     parser.add_argument(
         "--artifact",
@@ -322,15 +269,10 @@ def main(argv=None):
     sweep = doc["sweep"]
     single = doc["single_run_120w"]
     print(
-        f"sweep jobs=1: {sweep['jobs1']['wall_s']:.2f}s "
+        f"sweep per-run: {sweep['jobs1']['wall_s']:.2f}s "
         f"({sweep['jobs1']['runs_per_s']:.2f} runs/s)  "
         f"batched: {sweep['jobs1_batch']['wall_s']:.2f}s "
-        f"({sweep['batch_runs_per_s']:.2f} runs/s)  "
-        f"jobs=4: {sweep['jobs4']['wall_s']:.2f}s "
-        f"({sweep['jobs4']['runs_per_s']:.2f} runs/s, "
-        f"effective {sweep['jobs4']['effective_jobs']})  "
-        f"parallel x{sweep['parallel_speedup']:.2f}  "
-        f"chunk overhead {sweep['chunk_overhead_ms']:.1f} ms"
+        f"({sweep['batch_runs_per_s']:.2f} runs/s)"
     )
     print(
         f"single 120 W Stereo: scalar {single['scalar_ms']:.2f} ms, "

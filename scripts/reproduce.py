@@ -83,12 +83,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--reps", type=int, default=2)
     parser.add_argument("--out", default="EXPERIMENTS.md")
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for the sweep (results are identical)",
-    )
-    parser.add_argument(
         "--rate-cache",
         default=os.environ.get("REPRO_RATE_CACHE"),
         help="path to a persistent miss-rate cache (JSON); defaults to "
@@ -112,7 +106,7 @@ def main(argv: list[str] | None = None) -> int:
         slice_accesses=300_000,
         rate_cache=args.rate_cache,
     )
-    sweeps = experiment.run_all(jobs=args.jobs)
+    sweeps = experiment.run_all()
     sweep_wall_s = time.time() - t0
 
     lines: list[str] = []

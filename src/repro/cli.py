@@ -53,6 +53,7 @@ import json
 import os
 import sys
 import time
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -105,13 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.05,
         help="instruction-budget scale (1.0 = paper-calibrated budgets)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for sweep-style commands (1 = serial; "
-        "results are bit-identical either way)",
     )
     parser.add_argument(
         "--rate-cache",
@@ -652,7 +646,7 @@ def _cmd_sweep(args) -> str:
         block_step=args.block_step,
         batch=args.batch,
     )
-    result = experiment.run_workload(workload, jobs=args.jobs)
+    result = experiment.run_workload(workload)
     if args.format == "json":
         return json.dumps(experiment_to_dict(result), indent=2, sort_keys=True)
     return render_table2(result)
@@ -688,7 +682,7 @@ def _cmd_amenability(args) -> str:
         block_step=args.block_step,
         batch=args.batch,
     )
-    result = experiment.run_workload(workload, jobs=args.jobs)
+    result = experiment.run_workload(workload)
     report = characterize_amenability(result, tolerance_slowdown=args.tolerance)
     lines = [
         f"Amenability of {report.workload} "
@@ -823,7 +817,7 @@ def _cmd_figures(args) -> str:
         block_step=args.block_step,
         batch=args.batch,
     )
-    result = experiment.run_workload(workload, jobs=args.jobs)
+    result = experiment.run_workload(workload)
     if args.workload == "sire":
         series = figure1_series(result)
         title = "Figure 1: SIRE/RSM, normalised (baseline + caps 160..120 W)"
@@ -852,8 +846,8 @@ def _cmd_fleet(args) -> str:
 
     if args.spec is not None:
         try:
-            spec = json.loads(open(args.spec).read())
-        except (OSError, json.JSONDecodeError) as exc:
+            spec = json.loads(Path(args.spec).read_text())
+        except (OSError, ValueError) as exc:
             raise ReproError(f"cannot read topology spec: {exc}") from exc
         topology = FleetTopology.from_spec(spec)
     else:
@@ -1029,8 +1023,6 @@ def _load_target_docs(target: str, db: str):
     store is opened only if its file already exists; read-only commands
     must never create an empty database as a side effect.
     """
-    from pathlib import Path
-
     path = Path(target)
     if path.is_file():
         try:
@@ -1248,8 +1240,6 @@ def _cmd_timeline(args) -> str:
 
 def _open_archive(path: str):
     """An existing archive, or a clear error for read-style commands."""
-    from pathlib import Path
-
     from .obs.archive import ObsArchive
 
     if not Path(path).is_file():
@@ -1269,8 +1259,8 @@ def _cmd_trends(args) -> str:
         archive = ObsArchive(args.archive)
         for path in args.ingest:
             try:
-                doc = json.loads(open(path).read())
-            except (OSError, json.JSONDecodeError) as exc:
+                doc = json.loads(Path(path).read_text())
+            except (OSError, ValueError) as exc:
                 raise ReproError(f"cannot read {path}: {exc}") from exc
             kind, run_id = archive.ingest_bench(doc, source=path)
             _log.info(

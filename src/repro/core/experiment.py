@@ -7,9 +7,10 @@ power cap and the results ... were averaged."
 
 Every (workload, cap, repetition) run is independent — all coupling
 between runs goes through per-run RNG streams derived by name from the
-experiment seed — so the sweep fans out over a process pool with
-``jobs > 1`` and reassembles in deterministic task order.  A parallel
-sweep is run-for-run bit-identical to the serial one.
+experiment seed — so a run's result does not depend on which runs share
+its sweep.  The sweep runs serially in the calling process, through the
+batch engine (:func:`repro.core.batchstep.run_sweep`), which marches
+the stable segments of several runs side by side.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -77,72 +77,6 @@ def validate_caps(
             )
     return caps
 
-# One NodeRunner per worker process, created by the pool initializer so
-# trace slices and rates are measured once per worker, not once per run.
-_WORKER_RUNNER: NodeRunner | None = None
-
-
-def _pool_init(
-    config: NodeConfig | None,
-    seed: int,
-    slice_accesses: int,
-    rate_cache_path: "str | None",
-    telemetry: "TelemetryConfig | None" = None,
-    block_step: "bool | None" = None,
-) -> None:
-    global _WORKER_RUNNER
-    _WORKER_RUNNER = NodeRunner(
-        config=config,
-        seed=seed,
-        slice_accesses=slice_accesses,
-        rate_cache=rate_cache_path,
-        telemetry=telemetry,
-        block_step=block_step,
-    )
-
-
-def _cost_rank(cap_w: Optional[float]) -> int:
-    """Expected relative cost of one run under ``cap_w``.
-
-    Uncapped baselines go quiescent almost immediately (rank 0); loose
-    caps settle after a short DVFS search (1); very tight caps walk the
-    escalation ladder once and then pin (2); caps just under the DVFS
-    knee dither longest before the steady-state fast-forward can engage
-    (3).  Only scheduling efficiency depends on this ranking — results
-    are bit-identical under any submission order because every run
-    draws from its own named RNG streams.
-    """
-    if cap_w is None:
-        return 0
-    if cap_w >= 150.0:
-        return 1
-    if cap_w > 125.0:
-        return 3
-    return 2
-
-
-def _pool_run(task: "Tuple[Workload, Optional[float], int]") -> RunResult:
-    workload, cap_w, rep = task
-    assert _WORKER_RUNNER is not None
-    return _WORKER_RUNNER.run(workload, cap_w, rep=rep)
-
-
-def _pool_run_chunk(
-    payload: "Tuple[List[Tuple[Workload, Optional[float], int]], bool | None]",
-) -> List[RunResult]:
-    """One warm worker's share of a sweep: a whole task chunk.
-
-    The worker's persistent :class:`NodeRunner` (created once by
-    ``_pool_init``) carries its measured rates, trace slices, and rate
-    cache across every run of the chunk, and the chunk goes through
-    :func:`repro.core.batchstep.run_sweep` so stable segments of the
-    chunk's runs march as one numpy batch.  Results come back in chunk
-    order; the parent reassembles them by original task index.
-    """
-    tasks, batch = payload
-    assert _WORKER_RUNNER is not None
-    return run_sweep(_WORKER_RUNNER, tasks, batch=batch)
-
 
 @dataclass
 class ExperimentResult:
@@ -198,23 +132,13 @@ class PowerCapExperiment:
             raise SimulationError("need at least one repetition")
         self._workloads = list(workloads)
         self._batch = batch
-        #: Worker count the last ``_run_tasks`` actually used, after
-        #: the single-core / tiny-chunk fallbacks (bench provenance).
-        self.last_effective_jobs: int = 1
-        #: How the last ``_run_tasks`` executed (jobs, batch-engine
-        #: engagement, warm-worker reuse) — recorded into provenance.
+        #: How the last ``_run_tasks`` executed (batch-engine
+        #: engagement) — recorded into provenance.
         self.last_execution: "dict | None" = None
         self._caps = validate_caps(caps_w, allow_empty=True)
         self._reps = int(repetitions)
-        self._config = config
         self._seed = int(seed)
         self._slice_accesses = int(slice_accesses)
-        if isinstance(rate_cache, RateCache):
-            self._rate_cache_path = str(rate_cache.path)
-        elif rate_cache is not None:
-            self._rate_cache_path = str(rate_cache)
-        else:
-            self._rate_cache_path = None
         self._runner = NodeRunner(
             config=config,
             seed=seed,
@@ -235,124 +159,27 @@ class PowerCapExperiment:
         return list(self._caps)
 
     def _tasks_for(
-        self, workloads: Sequence[Workload]
+        self, workload: Workload
     ) -> List[Tuple[Workload, Optional[float], int]]:
         return [
-            (w, cap, rep)
-            for w in workloads
+            (workload, cap, rep)
             for cap in [None, *self._caps]
             for rep in range(self._reps)
         ]
 
-    def _effective_jobs(self, jobs: int, n_tasks: int) -> int:
-        """Worker count after the in-process fallbacks.
-
-        A single-core host gains nothing from process fan-out (the seed
-        benchmark's jobs=4 "regression" was exactly this), and a chunk
-        of fewer than two runs per worker cannot amortize the spawn and
-        warm-up cost it pays for.  Both cases fall back toward
-        in-process execution, with a logged warning so sweep provenance
-        explains the effective parallelism.
-        """
-        jobs = max(1, int(jobs))
-        if jobs <= 1:
-            return 1
-        if os.environ.get("REPRO_POOL_FORCE", "") == "1":
-            return jobs
-        cpus = os.cpu_count() or 1
-        if cpus < 2:
-            _log.warning(
-                "pool_fallback",
-                reason="single_core",
-                cpu_count=cpus,
-                requested_jobs=jobs,
-            )
-            return 1
-        fit = max(1, min(jobs, n_tasks // 2))
-        if fit < jobs:
-            _log.warning(
-                "pool_shrunk",
-                reason="tiny_chunks",
-                runs=n_tasks,
-                requested_jobs=jobs,
-                effective_jobs=fit,
-            )
-        return fit
-
     def _run_tasks(
-        self,
-        tasks: Sequence[Tuple[Workload, Optional[float], int]],
-        jobs: int,
+        self, tasks: Sequence[Tuple[Workload, Optional[float], int]]
     ) -> List[RunResult]:
-        requested = max(1, int(jobs))
-        jobs = self._effective_jobs(jobs, len(tasks))
-        self.last_effective_jobs = jobs
         metrics = engine_metrics()
-        counters0 = (
-            metrics.batch_runs.value,
-            metrics.batch_quanta.value,
-        )
-
-        def _record_execution(worker_reuse: int) -> None:
-            # With jobs > 1 the batch counters accumulate inside the
-            # workers; the parent-side deltas then read 0 by design.
-            metrics.effective_jobs.set(float(jobs))
-            self.last_execution = {
-                "requested_jobs": requested,
-                "effective_jobs": jobs,
-                "batch": batch_enabled(self._batch),
-                "batch_runs": int(metrics.batch_runs.value - counters0[0]),
-                "batch_quanta": int(
-                    metrics.batch_quanta.value - counters0[1]
-                ),
-                "worker_reuse": worker_reuse,
-            }
-
-        if jobs <= 1:
-            results = run_sweep(self._runner, tasks, batch=self._batch)
-            _record_execution(0)
-            return results
-        # Skew-aware chunking: a sweep's wall clock is set by whichever
-        # worker drains the slowest tail, and the knee-cap runs are an
-        # order of magnitude longer than baselines.  Sorting
-        # longest-expected-first (stable, so equal ranks keep task
-        # order) and dealing round-robin gives every worker one chunk
-        # of near-equal expected cost — and a whole chunk per worker is
-        # what lets the warm runner and the batch engine amortize
-        # across runs instead of paying per-task future overhead.
-        order = sorted(
-            range(len(tasks)),
-            key=lambda i: _cost_rank(tasks[i][1]),
-            reverse=True,
-        )
-        chunks = [order[k::jobs] for k in range(jobs)]
-        chunks = [c for c in chunks if c]
-        batch = batch_enabled(self._batch)
-        with ProcessPoolExecutor(
-            max_workers=len(chunks),
-            initializer=_pool_init,
-            initargs=(
-                self._config,
-                self._seed,
-                self._slice_accesses,
-                self._rate_cache_path,
-                self._runner.telemetry,
-                self._runner.block_step,
-            ),
-        ) as pool:
-            futures = [
-                pool.submit(_pool_run_chunk, ([tasks[i] for i in c], batch))
-                for c in chunks
-            ]
-            results: List[Optional[RunResult]] = [None] * len(tasks)
-            for chunk, future in zip(chunks, futures):
-                for i, res in zip(chunk, future.result()):
-                    results[i] = res
-        # Every run beyond each chunk's first was served by a worker
-        # whose runner was already warm (rates measured, slices built).
-        metrics.worker_reuse.inc(len(tasks) - len(chunks))
-        _record_execution(len(tasks) - len(chunks))
-        return results  # type: ignore[return-value]
+        runs0 = metrics.batch_runs.value
+        quanta0 = metrics.batch_quanta.value
+        results = run_sweep(self._runner, tasks, batch=self._batch)
+        self.last_execution = {
+            "batch": batch_enabled(self._batch),
+            "batch_runs": int(metrics.batch_runs.value - runs0),
+            "batch_quanta": int(metrics.batch_quanta.value - quanta0),
+        }
+        return results
 
     def _assemble(
         self, workload: Workload, runs: List[RunResult]
@@ -397,29 +224,24 @@ class PowerCapExperiment:
                 d.to_dict() for d in detections
             ]
 
-    def run_workload(self, workload: Workload, jobs: int = 1) -> ExperimentResult:
+    def run_workload(self, workload: Workload) -> ExperimentResult:
         """Baseline plus the full cap sweep for one workload.
 
-        ``jobs > 1`` fans the (cap, repetition) grid out over a process
-        pool; results are bit-identical to the serial sweep because
-        every run draws from its own named RNG streams.  The result
-        carries a provenance manifest; with ``jobs > 1`` the per-phase
-        timings in it cover this process only (workers accumulate their
-        own), so attribute parallel sweeps via ``--trace-out`` instead.
+        The result carries a provenance manifest, including the span
+        seconds this sweep spent per phase.
         """
-        tasks = self._tasks_for([workload])
+        tasks = self._tasks_for(workload)
         _log.info(
             "sweep_start",
             workload=workload.name,
             caps=len(self._caps),
             repetitions=self._reps,
             runs=len(tasks),
-            jobs=jobs,
         )
         wall0 = time.perf_counter()
         phases0 = phase_totals()
-        with span("sweep", workload=workload.name, runs=len(tasks), jobs=jobs):
-            runs = self._run_tasks(tasks, jobs)
+        with span("sweep", workload=workload.name, runs=len(tasks)):
+            runs = self._run_tasks(tasks)
             result = self._assemble(workload, runs)
         result.provenance = self._provenance_for(
             workload, _phase_delta(phases0, phase_totals())
@@ -433,29 +255,6 @@ class PowerCapExperiment:
         )
         return result
 
-    def run_all(self, jobs: int = 1) -> Dict[str, ExperimentResult]:
+    def run_all(self) -> Dict[str, ExperimentResult]:
         """Every workload's sweep, keyed by workload name."""
-        if jobs <= 1:
-            return {w.name: self.run_workload(w) for w in self._workloads}
-        tasks = self._tasks_for(self._workloads)
-        _log.info(
-            "sweep_start",
-            workloads=len(self._workloads),
-            runs=len(tasks),
-            jobs=jobs,
-        )
-        phases0 = phase_totals()
-        with span("sweep", workloads=len(self._workloads), runs=len(tasks),
-                  jobs=jobs):
-            runs = self._run_tasks(tasks, jobs)
-        # One phase delta spans the whole parallel batch; per-workload
-        # attribution needs a trace (`--trace-out`), not the manifest.
-        phase_seconds = _phase_delta(phases0, phase_totals())
-        per = (len(self._caps) + 1) * self._reps
-        results = {}
-        for i, w in enumerate(self._workloads):
-            result = self._assemble(w, runs[i * per : (i + 1) * per])
-            result.provenance = self._provenance_for(w, phase_seconds)
-            self._annotate_phenomena(result)
-            results[w.name] = result
-        return results
+        return {w.name: self.run_workload(w) for w in self._workloads}

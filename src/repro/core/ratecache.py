@@ -5,7 +5,7 @@ Trace simulation is the dominant fixed cost of a sweep: every
 result is a pure function of the node geometry, the workload slice,
 and the gating.  :class:`RateCache` memoizes those results across
 *processes and sessions* — repeated sweeps, the benchmark suite, and
-parallel workers all skip redundant trace simulation.
+the service's shard processes all skip redundant trace simulation.
 
 Keys are ``blake2b`` digests over everything the rates depend on:
 
@@ -17,8 +17,8 @@ Keys are ``blake2b`` digests over everything the rates depend on:
 - the gating's :meth:`~repro.mem.reconfig.GatingState.config_key`.
 
 The store is a single JSON file.  Saves are atomic (write-to-temp +
-``os.replace``) and merge with any entries written concurrently by
-another process, so parallel sweep workers can share one cache file.
+``os.replace``) and merge with any entries another process has written
+to the file since this one read it.
 
 Writers batch their saves (:meth:`put` only marks the cache dirty;
 :meth:`save` flushes at run/sweep boundaries), and every flush is a
@@ -26,8 +26,7 @@ single atomic ``os.replace`` — so a concurrent reader never observes a
 partially written file.  Readers that only want to *observe* a shared
 cache (dashboards, benchmarks, inspection tooling) open it with
 ``mode="ro"``: a read-only snapshot of the file at open time that can
-never dirty or rewrite the backing store, with :meth:`reload` to adopt
-whatever a concurrent writer has flushed since.
+never dirty or rewrite the backing store.
 
 The file is bounded: every entry carries a last-used timestamp, and
 :meth:`save` evicts the least-recently-used entries beyond
@@ -36,7 +35,8 @@ The file is bounded: every entry carries a last-used timestamp, and
 deployments that sweep many distinct (workload, geometry, gating)
 combinations never grow the cache without bound.  The cache also keeps
 :attr:`hits` / :attr:`misses` counters for telemetry; all public
-methods are thread-safe, so one instance can back a whole worker pool.
+methods are thread-safe, so one instance can back all of the service's
+worker threads.
 """
 
 from __future__ import annotations
@@ -244,32 +244,6 @@ class RateCache:
         if disk is not None:
             self._entries, self._stamps = disk
 
-    def reload(self) -> int:
-        """Re-read the backing file, adopting concurrent flushes.
-
-        Because writers flush with a single atomic ``os.replace``, a
-        reloading reader sees either the previous complete file or the
-        new complete file — never a torn write.  Read-only snapshots
-        replace their view wholesale; ``rw`` instances merge the disk
-        state *under* their own entries (local puts win until the next
-        :meth:`save`).  Returns the number of entries now visible.
-        """
-        with self._lock:
-            disk = self._read_disk()
-            if disk is not None:
-                entries, stamps = disk
-                if self._mode == "rw":
-                    entries.update(self._entries)
-                    for key, ts in self._stamps.items():
-                        stamps[key] = max(ts, stamps.get(key, 0.0))
-                self._entries = entries
-                self._stamps = stamps
-                if stamps:
-                    self._last_stamp = max(
-                        self._last_stamp, max(stamps.values())
-                    )
-            return len(self._entries)
-
     def get(self, key: str) -> Optional[AccessRates]:
         """Look one digest up; None on miss or malformed entry."""
         with self._lock:
@@ -354,26 +328,7 @@ class RateCache:
     def _save_locked(self) -> None:
         if not self._dirty:
             return
-        entries: Dict[str, dict] = {}
-        stamps: Dict[str, float] = {}
-        try:
-            with open(self._path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except FileNotFoundError:
-            data = None
-        except json.JSONDecodeError as exc:
-            _log.warning(
-                "rate_cache_corrupt",
-                path=str(self._path),
-                error=str(exc),
-                during="save_merge",
-            )
-            data = None
-        if isinstance(data, dict):
-            for key, value in data.items():
-                split = _split_entry(value)
-                if split is not None:
-                    entries[key], stamps[key] = split
+        entries, stamps = self._read_disk() or ({}, {})
         entries.update(self._entries)
         for key, ts in self._stamps.items():
             stamps[key] = max(ts, stamps.get(key, 0.0))

@@ -143,11 +143,6 @@ class NodeRunner:
         return self._rate_cache
 
     @property
-    def telemetry(self) -> TelemetryConfig:
-        """The in-run telemetry sampling configuration."""
-        return self._telemetry
-
-    @property
     def block_step(self) -> bool:
         """Whether stable segments run through the block-step kernel."""
         return self._block_step

@@ -285,8 +285,6 @@ class EngineMetrics:
     - ``repro_engine_batch_runs_total`` /
       ``repro_engine_batch_quanta_total`` — runs that joined a
       multi-run batch march, and the quanta those marches retired;
-    - ``repro_engine_worker_reuse_total`` — sweep runs served by a
-      warm (already-initialized) pool worker;
     - ``repro_engine_traces_simulated_total`` — slice simulations that
       actually ran (rate-cache/memo misses);
     - ``repro_engine_rate_cache_hits_total`` /
@@ -294,14 +292,12 @@ class EngineMetrics:
       lookups, process-wide across every :class:`RateCache` instance;
     - ``repro_engine_run_seconds`` — wall-clock histogram per run;
     - ``repro_engine_phase_seconds`` — cumulative seconds per span
-      name, scraped live from the tracing phase accumulator;
-    - ``repro_engine_effective_jobs`` — worker count the most recent
-      sweep actually used (previously visible only in the provenance
-      ``execution`` block).
+      name, scraped live from the tracing phase accumulator.
 
-    Worker *processes* (``jobs > 1`` sweeps) keep their own panels;
-    the exposed values cover the scraped process, which for the
-    service's default thread workers is the whole story.
+    The exposed values cover the scraped process only.  That is the
+    whole story for the service's thread workers; shard processes
+    (``serve --shards``) keep their own panels, which the parent's
+    ``/metrics`` does not include.
     """
 
     def __init__(self) -> None:
@@ -346,12 +342,6 @@ class EngineMetrics:
                 "Control quanta retired inside multi-run batch marches",
             )
         )
-        self.worker_reuse = reg(
-            Counter(
-                "repro_engine_worker_reuse_total",
-                "Sweep runs served by an already-warm pool worker",
-            )
-        )
         self.traces_simulated = reg(
             Counter(
                 "repro_engine_traces_simulated_total",
@@ -384,13 +374,6 @@ class EngineMetrics:
                 "Cumulative wall-clock seconds per instrumented span",
                 callback=self._phase_seconds,
                 label_name="phase",
-            )
-        )
-        self.effective_jobs = reg(
-            Gauge(
-                "repro_engine_effective_jobs",
-                "Worker count the most recent sweep actually used after "
-                "the single-core / tiny-chunk fallbacks",
             )
         )
 

@@ -8,9 +8,8 @@ needed to reproduce (or distrust) the numbers:
 - the experiment seed, caps, repetitions, and slice length,
 - the package version and (best-effort) ``git describe`` of the code,
 - rate-cache identity and hit/miss counters at sweep end,
-- how the sweep actually executed (effective worker count after the
-  single-core fallback, batch-engine engagement counters, warm-worker
-  reuse),
+- how the sweep executed (whether the batch engine was on, and the
+  runs and quanta it marched),
 - cumulative per-phase span seconds (from :mod:`repro.obs.tracing`)
   spent producing this result.
 

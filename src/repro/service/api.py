@@ -53,7 +53,7 @@ class ExperimentService:
     ``port=0`` binds an ephemeral port (read it back from
     :attr:`port`) — the tests and the CI smoke job rely on this.
     ``shards >= 2`` moves simulation into partitioned worker processes
-    (with the usual single-core fallback to in-process execution).
+    (falling back to in-process execution on a single-core host).
     """
 
     def __init__(

@@ -23,11 +23,9 @@ moves the simulation into a pool of long-lived **shard processes**:
   so the sharded path stores byte-identical documents to the
   in-process path and serializes nothing itself.
 
-Like the sweep engine's warm-worker pool (PR 6), fan-out falls back to
-in-process execution where it cannot help: a single-core host, or a
-requested shard count below 2.  The fallback is recorded —
-``effective_shards`` is 0 and a warning is logged — mirroring
-``effective_jobs`` in sweep provenance.
+Fan-out falls back to in-process execution where it cannot help: a
+single-core host, or a requested shard count below 2.  The fallback is
+recorded — ``effective_shards`` is 0 and a warning is logged.
 """
 
 from __future__ import annotations
@@ -88,10 +86,11 @@ class ShardRing:
 def effective_shard_count(requested: int) -> int:
     """Shard count after the single-core fallback (0 = in-process).
 
-    Mirrors ``PowerCapExperiment._effective_jobs``: process fan-out on
-    a single-core host only adds dispatch overhead, so fall back to
-    in-process execution with a logged warning.  ``REPRO_SHARD_FORCE=1``
-    overrides (tests exercise real shard processes on any host).
+    Process fan-out on a single-core host only adds dispatch overhead,
+    so fall back to in-process execution with a logged warning, and
+    never start more shards than there are CPUs.
+    ``REPRO_SHARD_FORCE=1`` overrides (tests exercise real shard
+    processes on any host).
     """
     requested = max(0, int(requested))
     if requested < 2:

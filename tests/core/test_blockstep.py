@@ -285,26 +285,22 @@ def test_batch_engine_engages():
 
 
 def test_chunked_warm_worker_matches_serial():
-    """_pool_init + _pool_run_chunk (the worker body) == serial runs.
+    """One warm runner sweeping a chunk of tasks == per-run runs.
 
-    Runs the exact code a pool worker executes, in-process, so the
-    equality holds on single-core hosts too; a true multi-process pool
-    is exercised by TestParallelDeterminism when cores allow.
+    ``run_sweep`` at its default march width (``_MIN_WIDTH``), which is
+    what every sweep uses; the other batch tests force two-lane
+    cohorts.
     """
-    from repro.core import experiment as exp_mod
+    from repro.core.batchstep import run_sweep
 
     tasks = _sweep_tasks(["stereo"], [None, 140.0, 120.0], 2)
     serial_runner = NodeRunner(slice_accesses=SLICE_ACCESSES, block_step=True)
     plain = [serial_runner.run(w, cap, rep=rep) for (w, cap, rep) in tasks]
-
-    from repro.rng import DEFAULT_SEED
-
-    saved = exp_mod._WORKER_RUNNER
-    try:
-        exp_mod._pool_init(None, DEFAULT_SEED, SLICE_ACCESSES, None, None, True)
-        chunked = exp_mod._pool_run_chunk((tasks, True))
-    finally:
-        exp_mod._WORKER_RUNNER = saved
+    chunked = run_sweep(
+        NodeRunner(slice_accesses=SLICE_ACCESSES, block_step=True),
+        tasks,
+        batch=True,
+    )
 
     assert len(chunked) == len(plain)
     for got, want in zip(chunked, plain):

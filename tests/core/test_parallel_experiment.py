@@ -1,4 +1,4 @@
-"""Parallel sweep executor, steady-state fast-forward, and rate cache."""
+"""Steady-state fast-forward and the persistent rate cache."""
 
 from __future__ import annotations
 
@@ -6,11 +6,9 @@ import dataclasses
 
 import pytest
 
-from repro.core.experiment import PowerCapExperiment
 from repro.core.ratecache import RateCache, rate_key
 from repro.core.runner import NodeRunner
 from repro.mem.reconfig import GatingState
-from repro.workloads.sar import SireRsmWorkload
 from repro.workloads.stereo import StereoMatchingWorkload
 
 
@@ -19,38 +17,6 @@ def scaled(workload, factor):
         workload.spec, total_instructions=workload.spec.total_instructions * factor
     )
     return workload
-
-
-class TestParallelDeterminism:
-    def test_parallel_equals_serial_run_for_run(self):
-        def build():
-            return PowerCapExperiment(
-                [scaled(StereoMatchingWorkload(), 0.005),
-                 scaled(SireRsmWorkload(), 0.005)],
-                caps_w=[150.0, 135.0],
-                repetitions=2,
-                slice_accesses=50_000,
-            )
-
-        serial = build().run_all(jobs=1)
-        parallel = build().run_all(jobs=2)
-        assert set(serial) == set(parallel)
-        for name in serial:
-            # AveragedResult is a dataclass: equality is field-by-field
-            # over every run statistic, so this asserts bit-identity.
-            assert serial[name].baseline == parallel[name].baseline
-            assert serial[name].by_cap == parallel[name].by_cap
-
-    def test_run_workload_jobs_matches_serial(self):
-        wl = scaled(StereoMatchingWorkload(), 0.005)
-        a = PowerCapExperiment(
-            [wl], caps_w=[145.0], repetitions=1, slice_accesses=50_000
-        ).run_workload(wl, jobs=2)
-        b = PowerCapExperiment(
-            [wl], caps_w=[145.0], repetitions=1, slice_accesses=50_000
-        ).run_workload(wl)
-        assert a.baseline == b.baseline
-        assert a.by_cap == b.by_cap
 
 
 class TestFastForward:
@@ -133,14 +99,30 @@ class TestRateCache:
         assert rate_key(cfg, seed=1, slice_accesses=100, workload=wl,
                         gating=GatingState(l2_way_fraction=0.5)) != base
 
-    def test_corrupt_cache_file_is_ignored(self, tmp_path):
+    @pytest.mark.parametrize(
+        "payload",
+        [b"\xff\xfe{not json", b"{not json", b"[]"],
+        ids=["not-utf8", "not-json", "not-object"],
+    )
+    def test_corrupt_cache_file_is_ignored(self, tmp_path, payload):
+        import json
+
         path = tmp_path / "rates.json"
-        path.write_text("{not json")
+        path.write_bytes(payload)
         cache = RateCache(path)
         assert len(cache) == 0
         wl = scaled(StereoMatchingWorkload(), 0.01)
         runner = NodeRunner(slice_accesses=50_000, rate_cache=cache)
-        runner.rates_for(wl, GatingState.ungated())  # must not raise
+        rates = runner.rates_for(wl, GatingState.ungated())  # must not raise
+        # The save merges through the same parse as the load, so the
+        # unusable file is replaced by a valid one holding the new rate.
+        cache.save()
+        assert len(json.loads(path.read_text(encoding="utf-8"))) == 1
+        cold = NodeRunner(
+            slice_accesses=50_000, rate_cache=RateCache(path, mode="ro")
+        )
+        assert cold.rates_for(wl, GatingState.ungated()) == rates
+        assert not cold._engines
 
     def test_cached_sweep_matches_uncached(self, tmp_path):
         path = tmp_path / "rates.json"
@@ -208,10 +190,10 @@ class TestRateCacheReadOnly:
     def test_batched_flush_survives_concurrent_snapshots(self, tmp_path):
         """Readers see complete flushes only, in flush order.
 
-        put() is batched (dirty-marking, no I/O), so a concurrent
-        reader must not observe an entry until the writer's save() —
-        and each save is one atomic replace, so a reload between
-        flushes yields either the old or the new complete view.
+        put() is batched (dirty-marking, no I/O), so a snapshot opened
+        before the writer's save() must not observe the entry — and
+        each save is one atomic replace, so a snapshot opened between
+        flushes sees either the old or the new complete view.
         """
         import json
 
@@ -224,20 +206,27 @@ class TestRateCacheReadOnly:
         assert reader.get("key-a") is not None
 
         # A put that has not been flushed is invisible to snapshots,
-        # even after a reload: flush batching is what the reader sees.
+        # even fresh ones: flush batching is what the reader sees.
         writer.put("key-b", fake_rates(2))
-        reader.reload()
-        assert reader.get("key-b") is None
+        assert RateCache(path, mode="ro").get("key-b") is None
 
-        # After the flush a reload adopts the complete new view, and
-        # the on-disk bytes parse at every step (atomic replace).
+        # After the flush a fresh snapshot holds the complete new view,
+        # and the on-disk bytes parse at every step (atomic replace).
         writer.save()
         assert set(json.loads(path.read_text())) == {"key-a", "key-b"}
-        assert reader.reload() == 2
+        reader = RateCache(path, mode="ro")
+        assert len(reader) == 2
         assert reader.get("key-b") == fake_rates(2)
         assert reader.get("key-a") == fake_rates(1)
 
     def test_rw_reload_keeps_local_unsaved_puts(self, tmp_path):
+        """A save re-reads the file and merges a concurrent flush.
+
+        Local puts made before another writer's flush survive the
+        merge, and so does everything that writer flushed.
+        """
+        import json
+
         path = tmp_path / "rates.json"
         first = RateCache(path)
         first.put("key-a", fake_rates(1))
@@ -247,10 +236,11 @@ class TestRateCacheReadOnly:
         second.put("key-b", fake_rates(2))  # unsaved
         first.put("key-c", fake_rates(3))
         first.save()
-        # reload merges the concurrent flush *under* local state.
-        second.reload()
-        assert second.get("key-a") is not None
-        assert second.get("key-c") is not None
+        second.save()
+        assert set(json.loads(path.read_text())) == {
+            "key-a", "key-b", "key-c"
+        }
+        assert second.get("key-c") == fake_rates(3)
         assert second.get("key-b") == fake_rates(2)
 
 

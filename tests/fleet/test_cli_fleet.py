@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import pytest
 
@@ -65,20 +66,27 @@ class TestCommand:
         spec.write_text(json.dumps(
             {"rows": 1, "racks_per_row": 1, "nodes_per_rack": 3}
         ))
-        code = main(
-            ["fleet", "--spec", str(spec), "--duration", "5",
-             "--traffic", "flat"]
-        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            code = main(
+                ["fleet", "--spec", str(spec), "--duration", "5",
+                 "--traffic", "flat"]
+            )
         out = capsys.readouterr().out
         assert code == 0
         assert "fleet: 3 nodes" in out
+        # The spec file is closed once read.
+        assert not [w for w in caught if w.category is ResourceWarning]
 
     def test_bad_spec_is_a_clean_error(self, tmp_path, capsys):
         spec = tmp_path / "broken.json"
         spec.write_text("{not json")
-        code = main(["fleet", "--spec", str(spec)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            code = main(["fleet", "--spec", str(spec)])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+        assert not [w for w in caught if w.category is ResourceWarning]
 
     def test_bad_traffic_is_a_clean_error(self, capsys):
         code = main(["fleet", "--traffic", "lognormal", "--duration", "5"])

@@ -230,6 +230,21 @@ class TestBenchIngestion:
         assert run["series"]["jobs4.runs_per_s"] == 250.0
         assert run["series"]["single_run.speedup"] == 1.3
         assert run["meta"]["benchmark"] == "table2-sweep"
+        # Schema 3 times serial sweeps only; the series it shares with
+        # schema 2 keep their names.
+        doc = sweep_doc()
+        doc["schema"] = 3
+        for key in ("jobs4", "parallel_speedup", "chunk_overhead_ms"):
+            del doc["sweep"][key]
+        kind, run_id = archive.ingest_bench(doc, source="test", ts=124.0)
+        assert kind == "bench_sweep"
+        series = archive.get_run(run_id)["series"]
+        assert series["runs_per_s"] == series["jobs1.runs_per_s"] == 100.0
+        assert series["jobs1_batch.runs_per_s"] == 120.0
+        assert series["batch_runs_per_s"] == 120.0
+        assert series["single_run.speedup"] == 1.3
+        assert not any("jobs4" in name for name in series)
+        assert archive.get_run(run_id)["meta"]["schema"] == 3
 
     def test_ingest_rejects_unknown_document(self, archive):
         for doc in (

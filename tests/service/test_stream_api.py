@@ -219,10 +219,6 @@ class TestLiveGauges:
             time.sleep(0.05)
         assert value == 0.0
 
-    def test_effective_jobs_gauge_exposed(self, service, streamed_job):
-        text = self.get_metrics(service)
-        assert self.scalar(text, "repro_engine_effective_jobs") >= 1.0
-
     def test_rate_cache_gauges_live(self, service, streamed_job):
         text = self.get_metrics(service)
         hits = self.scalar(text, "repro_rate_cache_hits_total")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import pytest
 
@@ -115,11 +116,15 @@ class TestTrendsCommand:
         bench = tmp_path / "BENCH_sweep.json"
         bench.write_text(json.dumps(sweep_doc()))
         path = tmp_path / "fresh.sqlite3"
-        code = main(
-            ["trends", "--archive", str(path), "--ingest", str(bench)]
-        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            code = main(
+                ["trends", "--archive", str(path), "--ingest", str(bench)]
+            )
         assert code == 0
         assert path.is_file()
+        # The ingested document is closed once read.
+        assert not [w for w in caught if w.category is ResourceWarning]
         runs = ObsArchive(path).runs(kind="bench_sweep")
         assert len(runs) == 1
 

@@ -96,18 +96,93 @@ class TestApiDoc:
                         )
 
 
-def documented_serve_commands():
-    """``(file, argv)`` for each ``repro-powercap … serve …`` command line
-    in a shell block or an inline code span of README.md and docs/*.md."""
-    for path in [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]:
+#: The Markdown files whose command lines are checked against the parser.
+DOCS = [
+    REPO / "README.md",
+    REPO / "DESIGN.md",
+    *sorted((REPO / "docs").glob("*.md")),
+    REPO / ".claude" / "skills" / "verify" / "SKILL.md",
+]
+
+
+def documented_commands():
+    """``(file, argv)`` for each ``repro-powercap …`` or ``python -m
+    repro.cli …`` command in a shell block or an inline code span.
+
+    A shell-block line loses its ``$`` prompt and any leading
+    ``VAR=value`` assignments; an inline span may wrap a line.  ``argv``
+    ends at the first shell operator and drops ``...`` elisions.
+    """
+    for path in DOCS:
         text = path.read_text()
         snippets = re.findall(r"```(?:bash|sh|console)\n(.*?)```", text, re.S)
-        snippets += re.findall(r"`(repro-powercap [^`\n]*)`", text)
+        snippets += [
+            " ".join(span.split())
+            for span in re.findall(
+                r"`((?:repro-powercap|python3? -m repro\.cli)\b[^`]*)`", text
+            )
+        ]
         for snippet in snippets:
             for line in snippet.replace("\\\n", " ").splitlines():
                 tokens = shlex.split(line, comments=True)
-                if tokens[:1] == ["repro-powercap"] and "serve" in tokens:
-                    yield path.name, [t for t in tokens[1:] if t != "&"]
+                if tokens[:1] == ["$"]:
+                    tokens = tokens[1:]
+                while tokens and re.match(r"\w+=", tokens[0]):
+                    tokens = tokens[1:]
+                if tokens[:1] == ["repro-powercap"]:
+                    tokens = tokens[1:]
+                elif tokens[:3] in (
+                    ["python", "-m", "repro.cli"],
+                    ["python3", "-m", "repro.cli"],
+                ):
+                    tokens = tokens[3:]
+                else:
+                    continue
+                argv = []
+                for token in tokens:
+                    if token in ("&", "&&", "|", "||", ";"):
+                        break
+                    if token != "...":
+                        argv.append(token)
+                yield str(path.relative_to(REPO)), argv
+
+
+def _options(token):
+    """The ``--options`` one token names: ``--a``, ``--a=1``, ``[--a|--b]``."""
+    return re.findall(r"(?:^|[\[|])(--[a-z][\w-]*)", token)
+
+
+class TestDocumentedCommands:
+    def test_every_option_exists_where_it_is_placed(self):
+        """A removed or misplaced ``--option`` cannot linger in the docs.
+
+        Options before the subcommand belong to the global parser and
+        options after it to the subcommand's.  Prose such as
+        ``repro-powercap inspect`` names a subcommand and nothing else.
+        """
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        subcommands = parser._subparsers._group_actions[0].choices
+        global_options = parser._option_string_actions
+        commands = list(documented_commands())
+        assert len(commands) >= 30, commands
+        for name, argv in commands:
+            where = f"{name}: repro-powercap {' '.join(argv)}"
+            i = 0
+            while i < len(argv) and _options(argv[i]):
+                for option in _options(argv[i]):
+                    assert option in global_options, where
+                # An option that takes a value consumes the next token.
+                takes_value = global_options[option].nargs != 0
+                i += 2 if takes_value and "=" not in argv[i] else 1
+            if i == len(argv):
+                continue
+            assert argv[i] in subcommands, where
+            options = subcommands[argv[i]]._option_string_actions
+            for token in argv[i + 1:]:
+                for option in _options(token):
+                    assert option in options, where
 
 
 class TestServeCommands:
@@ -115,7 +190,7 @@ class TestServeCommands:
         """A flag removed from ``serve`` cannot linger in the docs."""
         from repro.cli import build_parser
 
-        commands = list(documented_serve_commands())
+        commands = [c for c in documented_commands() if "serve" in c[1]]
         assert len(commands) >= 4, commands
         for name, argv in commands:
             try:
