@@ -159,7 +159,11 @@ def check_archive(service, job_id: str) -> None:
     assert any(k.startswith("phase.") for k in run["series"]), run["series"]
 
     history = json.loads(http("GET", service.url + "/metrics/history"))
-    assert set(history["series"]) == set(series)
+    # Snapshots keep landing while this runs, and a series once archived
+    # stays, so each later read holds every series an earlier one saw.
+    assert (
+        set(series) <= set(history["series"]) <= set(archive.snapshot_series())
+    ), (series, history["series"])
     name = next(s for s in series if s.startswith("repro_jobs_submitted_total"))
     points = json.loads(
         http("GET", service.url + "/metrics/history?series="

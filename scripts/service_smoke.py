@@ -4,8 +4,11 @@
 Boots the service on an ephemeral port with a throwaway SQLite store,
 submits a tiny sweep over HTTP, polls the job to DONE, and asserts
 that ``/healthz`` answers and ``/metrics`` exposes the queue/state/
-cache counters.  Exits non-zero on any failure; prints a one-line
-summary per step so CI logs read as a transcript.
+cache counters.  Then it shuts the service down, boots a second one on
+the same database, and checks that the job, its result bytes and the
+store hit for its spec survived the restart.  Exits non-zero on any
+failure; prints a one-line summary per step so CI logs read as a
+transcript.
 
 Usage::
 
@@ -63,8 +66,7 @@ def http(method: str, url: str, body: dict | None = None):
         return resp.read()
 
 
-def run_smoke() -> None:
-    tmp = Path(tempfile.mkdtemp(prefix="repro-smoke-"))
+def boot(tmp: Path) -> ExperimentService:
     service = ExperimentService(
         db_path=tmp / "smoke.sqlite3",
         port=0,
@@ -73,6 +75,12 @@ def run_smoke() -> None:
     )
     service.start()
     print(f"[smoke] service up at {service.url}")
+    return service
+
+
+def run_smoke() -> None:
+    tmp = Path(tempfile.mkdtemp(prefix="repro-smoke-"))
+    service = boot(tmp)
     try:
         health = json.loads(http("GET", service.url + "/healthz"))
         assert health["status"] == "ok", health
@@ -90,10 +98,8 @@ def run_smoke() -> None:
         assert job["state"] == "done", f"job did not finish: {job}"
         print(f"[smoke] job done after {job['attempts']} attempt(s)")
 
-        result = json.loads(
-            http("GET", f"{service.url}/jobs/{job['id']}/result")
-        )
-        rows = result["results"]["StereoMatching"]
+        result_bytes = http("GET", f"{service.url}/jobs/{job['id']}/result")
+        rows = json.loads(result_bytes)["results"]["StereoMatching"]
         assert "baseline" in json.dumps(rows), rows
         print("[smoke] result document retrieved")
 
@@ -106,6 +112,21 @@ def run_smoke() -> None:
             assert name in metrics, f"missing metric: {name}"
         print(f"[smoke] /metrics exposes all {len(REQUIRED_METRICS)} "
               "required series")
+    finally:
+        service.shutdown(drain=False)
+        print("[smoke] service stopped")
+
+    service = boot(tmp)
+    try:
+        again = json.loads(http("GET", f"{service.url}/jobs/{job['id']}"))
+        assert again["state"] == "done", again
+        assert http(
+            "GET", f"{service.url}/jobs/{job['id']}/result"
+        ) == result_bytes, "result bytes changed across the restart"
+        twin = json.loads(http("POST", service.url + "/jobs", SPEC))
+        assert twin["state"] == "done" and twin["deduplicated"], twin
+        print("[smoke] after a restart on the same database: job done, "
+              "result bytes unchanged, resubmission a store hit")
     finally:
         service.shutdown(drain=False)
         print("[smoke] service stopped")

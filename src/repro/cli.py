@@ -1038,16 +1038,20 @@ def _load_target_docs(target: str, db: str):
             f"exists at {db!r} to resolve it as a job id"
         )
     store = ResultStore(db)
-    job = store.get_job(target)
-    if job is None:
-        raise ReproError(
-            f"{target!r} is neither a result file nor a job id in {db!r}"
-        )
+    try:
+        job = store.get_job(target)
+        if job is None:
+            raise ReproError(
+                f"{target!r} is neither a result file nor a job id in {db!r}"
+            )
+        doc = store.get_result_dict(job.spec_digest)
+    finally:
+        store.close()
     header = (
         f"job {job.id}: state={job.state.value} "
         f"spec_digest={job.spec_digest}"
     )
-    return header, store.get_result_dict(job.spec_digest)
+    return header, doc
 
 
 def _render_fleet_doc(doc: dict, title: str) -> str:

@@ -27,7 +27,7 @@ from ..obs.detect import scan_experiment
 from ..obs.logging import get_logger
 from ..obs.provenance import build_provenance
 from ..obs.timeseries import TelemetryConfig
-from ..obs.tracing import phase_totals, span
+from ..obs.tracing import span, thread_phase_totals
 from ..obs.metrics import engine_metrics
 from ..rng import DEFAULT_SEED
 from ..workloads.base import Workload
@@ -239,12 +239,12 @@ class PowerCapExperiment:
             runs=len(tasks),
         )
         wall0 = time.perf_counter()
-        phases0 = phase_totals()
+        phases0 = thread_phase_totals()
         with span("sweep", workload=workload.name, runs=len(tasks)):
             runs = self._run_tasks(tasks)
             result = self._assemble(workload, runs)
         result.provenance = self._provenance_for(
-            workload, _phase_delta(phases0, phase_totals())
+            workload, _phase_delta(phases0, thread_phase_totals())
         )
         self._annotate_phenomena(result)
         _log.info(

@@ -52,7 +52,7 @@ from ..obs.logging import get_logger
 from ..obs.metrics import fleet_metrics, telemetry_metrics
 from ..obs.provenance import git_describe
 from ..obs.stream import FLEET_TOPIC, event_bus
-from ..obs.timeseries import SeriesChannel
+from ..obs.timeseries import SeriesChannel, channels_to_dict
 from ..rng import DEFAULT_SEED, RngStreams
 from .division import divide_groups, group_reduce, priority_fill_order
 from .health import FleetHealth
@@ -209,9 +209,7 @@ class FleetResult:
             "timelines": {
                 name: ch.summary() for name, ch in self.timelines.items()
             },
-            "timeline_channels": {
-                name: ch.to_dict() for name, ch in self.timelines.items()
-            },
+            "timeline_channels": channels_to_dict(self.timelines),
             "phenomena": [d.to_dict() for d in self.phenomena],
         }
 

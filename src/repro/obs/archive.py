@@ -30,10 +30,9 @@ the sweep benchmark all write into:
   ``repro-powercap trends --check`` and ``GET /metrics/history`` /
   ``GET /runs/compare`` on the service API.
 
-Connections are opened per call with a busy timeout (the same policy
-as :class:`~repro.service.store.ResultStore`), so one archive file is
-safe to share between the recorder thread, scheduler workers, and
-HTTP handler threads.
+Connections are opened per call with a busy timeout, so one archive
+file is safe to share between the recorder thread, scheduler workers,
+and HTTP handler threads.
 """
 
 from __future__ import annotations

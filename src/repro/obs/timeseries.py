@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 
 import numpy as np
 from typing import (
@@ -55,6 +56,7 @@ __all__ = [
     "RunTimeline",
     "TelemetryConfig",
     "TelemetrySampler",
+    "channels_to_dict",
     "timeline_to_dict",
     "timeline_from_dict",
 ]
@@ -82,8 +84,47 @@ _FALSY = {"0", "false", "no", "off"}
 
 
 def _sig(value: float) -> float:
-    """Round to 8 significant digits for compact, stable JSON."""
+    """Round to 8 significant digits for compact, stable JSON.
+
+    The reference rounding: :func:`_sig_array` must agree with it bit
+    for bit, and falls back to it wherever its fast path cannot prove
+    that it does.
+    """
     return float(f"{float(value):.8g}")
+
+
+#: ``10.0**k`` for k = 0..22, each exact in float64 (5**22 < 2**53).
+_POW10 = 10.0 ** np.arange(23)
+
+
+def _sig_array(values: np.ndarray) -> np.ndarray:
+    """:func:`_sig` applied to every element of a float64 array, bit for bit.
+
+    For finite nonzero ``x`` with ``a = |x|`` and ``k = 7 - floor(log10 a)``
+    in ``0..22``, ``p = a * 10**k`` is within 2**-27 of the exact product,
+    so ``m = rint(p)`` is the 8-digit decimal mantissa ``%.8g`` prints,
+    unless ``p`` lies within 1e-6 of a half-integer, or a misrounded
+    log10 put ``m`` outside ``[1e7, 1e8]``.  ``m`` and ``10**k`` are both
+    exact, so the correctly rounded ``m / 10**k`` is exactly what
+    ``float()`` parses from that text (Clinger's fast path).  Zeros and
+    infinities pass through unchanged, as :func:`_sig` leaves them;
+    every other element (NaN, out of range, near a tie) goes to
+    :func:`_sig` itself.
+    """
+    x = np.asarray(values, dtype=np.float64)
+    a = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = 7.0 - np.floor(np.log10(a))
+        ok = (k >= 0.0) & (k <= 22.0)
+        scale = _POW10[np.where(ok, k, 0.0).astype(np.intp)]
+        p = a * scale
+        m = np.rint(p)
+        ok &= np.abs(p - np.floor(p) - 0.5) > 1e-6
+        ok &= (m >= 1e7) & (m <= 1e8)
+    out = np.where(ok, np.copysign(m / scale, x), x)
+    for i in np.flatnonzero(~ok & (x != 0.0) & ~np.isinf(x)):
+        out.flat[i] = _sig(x.flat[i])
+    return out
 
 
 class SeriesPoint(NamedTuple):
@@ -367,16 +408,7 @@ class SeriesChannel:
 
     def to_dict(self) -> dict:
         """Columnar JSON-ready representation."""
-        return {
-            "unit": self.unit,
-            "capacity": self.capacity,
-            "decimations": self.decimations,
-            "t": [_sig(p.t_s) for p in self._points],
-            "dt": [_sig(p.dt_s) for p in self._points],
-            "mean": [_sig(p.mean) for p in self._points],
-            "min": [_sig(p.vmin) for p in self._points],
-            "max": [_sig(p.vmax) for p in self._points],
-        }
+        return channels_to_dict({self.name: self})[self.name]
 
     @classmethod
     def from_dict(cls, name: str, data: dict) -> "SeriesChannel":
@@ -396,6 +428,41 @@ class SeriesChannel:
         except (KeyError, TypeError, ValueError) as exc:
             raise SimulationError(f"malformed channel {name!r}: {exc}") from exc
         return out
+
+
+def _rounded_points(channels: Sequence[SeriesChannel]) -> List[np.ndarray]:
+    """Each channel's points as an ``(n, 5)`` array rounded by :func:`_sig`.
+
+    All channels are rounded together, in one :func:`_sig_array` pass.
+    """
+    sizes = [len(ch) for ch in channels]
+    points = chain.from_iterable(ch._points for ch in channels)
+    fields = np.fromiter(
+        chain.from_iterable(points), np.float64, count=5 * sum(sizes)
+    )
+    rows = _sig_array(fields).reshape(-1, 5)
+    bounds = list(accumulate(sizes, initial=0))
+    return [rows[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def channels_to_dict(channels: Mapping[str, SeriesChannel]) -> Dict[str, dict]:
+    """``{name: channel.to_dict()}``, every channel rounded in one pass."""
+    out = {}
+    for (name, ch), rows in zip(
+        channels.items(), _rounded_points(list(channels.values()))
+    ):
+        t, dt, mean, vmin, vmax = rows.T.tolist()
+        out[name] = {
+            "unit": ch.unit,
+            "capacity": ch.capacity,
+            "decimations": ch.decimations,
+            "t": t,
+            "dt": dt,
+            "mean": mean,
+            "min": vmin,
+            "max": vmax,
+        }
+    return out
 
 
 def _merge_pair(a: SeriesPoint, b: SeriesPoint) -> SeriesPoint:
@@ -483,15 +550,14 @@ class RunTimeline:
     def to_csv(self, channels: Optional[Iterable[str]] = None) -> str:
         """CSV rows: ``workload,cap,channel,t_s,dt_s,mean,min,max``."""
         names = list(channels) if channels is not None else self.names()
+        chans = [self.channel(name) for name in names]
         lines = ["workload,cap,channel,t_s,dt_s,mean,min,max"]
-        for name in names:
-            ch = self.channel(name)
-            for p in ch.points():
-                lines.append(
-                    f"{self.workload},{self.cap_label},{name},"
-                    f"{_sig(p.t_s):g},{_sig(p.dt_s):g},{_sig(p.mean):g},"
-                    f"{_sig(p.vmin):g},{_sig(p.vmax):g}"
-                )
+        for name, rows in zip(names, _rounded_points(chans)):
+            prefix = f"{self.workload},{self.cap_label},{name}"
+            lines.extend(
+                f"{prefix},{t:g},{dt:g},{mean:g},{vmin:g},{vmax:g}"
+                for t, dt, mean, vmin, vmax in rows.tolist()
+            )
         return "\n".join(lines) + "\n"
 
     def counter_samples(
@@ -519,9 +585,7 @@ def timeline_to_dict(timeline: RunTimeline) -> dict:
         "cap_w": timeline.cap_w,
         "reps": timeline.reps,
         "period_s": _sig(timeline.period_s),
-        "channels": {
-            name: ch.to_dict() for name, ch in timeline.channels.items()
-        },
+        "channels": channels_to_dict(timeline.channels),
     }
 
 

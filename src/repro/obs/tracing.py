@@ -14,10 +14,11 @@ the body raises), and are timed with ``time.perf_counter``.
 
 Two sinks consume them:
 
-- a process-wide **phase accumulator** — cumulative seconds and counts
-  per span name, always on (two monotonic reads and a dict update per
-  span, nothing per control quantum), feeding run provenance and the
-  ``repro_engine_phase_seconds`` metric;
+- **phase accumulators** — cumulative seconds and counts per span
+  name, always on (two monotonic reads and two dict updates per span,
+  nothing per control quantum): a process-wide one feeding the
+  ``repro_engine_phase_seconds`` metric, and one per thread feeding
+  run provenance, so a sweep's phases hold only its own thread's spans;
 - an optional :class:`TraceCollector` — installed via
   :func:`start_tracing` (the CLI's ``--trace-out``), it records every
   span as an event and can serialise the lot as Chrome
@@ -47,6 +48,7 @@ __all__ = [
     "current_span_stack",
     "span_stacks_by_thread",
     "phase_totals",
+    "thread_phase_totals",
     "reset_phase_totals",
     "set_enabled",
     "tracing_enabled",
@@ -102,6 +104,22 @@ def phase_totals() -> Dict[str, Dict[str, float]]:
             name: {"seconds": acc[0], "count": acc[1]}
             for name, acc in _phase_acc.items()
         }
+
+
+def _thread_phases() -> Dict[str, List[float]]:
+    """This thread's name -> [total seconds, count]."""
+    phases = getattr(_local, "phases", None)
+    if phases is None:
+        phases = _local.phases = {}
+    return phases
+
+
+def thread_phase_totals() -> Dict[str, Dict[str, float]]:
+    """Like :func:`phase_totals`, for the spans this thread closed."""
+    return {
+        name: {"seconds": acc[0], "count": acc[1]}
+        for name, acc in _thread_phases().items()
+    }
 
 
 def reset_phase_totals() -> None:
@@ -274,12 +292,21 @@ def current_collector() -> "TraceCollector | None":
     return _collector
 
 
+def _add_phase(acc: Dict[str, List[float]], name: str, seconds: float) -> None:
+    slot = acc.get(name)
+    if slot is None:
+        acc[name] = [seconds, 1.0]
+    else:
+        slot[0] += seconds
+        slot[1] += 1.0
+
+
 class span:
     """Context manager / decorator timing one named engine phase.
 
     As a context manager each instance is single-use; as a decorator it
     opens a fresh span (same name and attributes) per call.  Timings
-    land in the phase accumulator always and in the active
+    land in the phase accumulators always and in the active
     :class:`TraceCollector` when one is installed; an exception inside
     the body still closes the span, flagged with ``error=True``.
     """
@@ -314,12 +341,8 @@ class span:
         elif self in stack:  # pragma: no cover — defensive unwinding
             stack.remove(self)
         with _phase_lock:
-            acc = _phase_acc.get(self.name)
-            if acc is None:
-                _phase_acc[self.name] = [t1 - self._t0, 1.0]
-            else:
-                acc[0] += t1 - self._t0
-                acc[1] += 1.0
+            _add_phase(_phase_acc, self.name, t1 - self._t0)
+        _add_phase(_thread_phases(), self.name, t1 - self._t0)
         collector = _collector
         if collector is not None:
             collector.add(

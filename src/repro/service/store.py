@@ -21,13 +21,14 @@ against every registered backend.
 Backends:
 
 - :class:`SQLiteResultStore` (default; ``ResultStore`` is a
-  compatibility alias) — one SQLite file in SQLite's default rollback
-  journal mode, connections opened per call with a 30 s busy timeout,
-  safe from every scheduler worker and HTTP handler thread without a
-  shared-connection lock;
+  compatibility alias) — one SQLite file in WAL mode, through one
+  connection per store (30 s busy timeout, ``synchronous`` at SQLite's
+  default FULL) that a lock hands to one thread at a time, for one
+  transaction.  Shard processes fork after the store opens and never
+  touch its connection;
 - :class:`MemoryResultStore` — process-local dicts under a lock; no
-  durability, no files.  Used by tests and by load benchmarks that
-  must not measure filesystem latency;
+  durability, no files.  Used by tests that must not measure
+  filesystem latency;
 - Postgres — not bundled (the container ships no driver), but the
   interface is shaped for it: all backend methods are keyed reads /
   upserts with JSON payloads, exactly what
@@ -48,8 +49,9 @@ import os
 import sqlite3
 import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..core.experiment import ExperimentResult
 from ..core.serialize import experiment_from_dict
@@ -250,6 +252,12 @@ class SQLiteResultStore(ResultStoreBase):
         self._path = str(path)
         if Path(self._path).is_dir():
             raise ConfigError(f"store path is a directory: {self._path}")
+        self._lock = threading.Lock()
+        self._conn = sqlite3.connect(
+            self._path, timeout=30.0, check_same_thread=False
+        )
+        self._conn.row_factory = sqlite3.Row
+        self._conn.execute("PRAGMA journal_mode=WAL")
         with self._connect() as conn:
             conn.executescript(_SCHEMA)
 
@@ -258,10 +266,19 @@ class SQLiteResultStore(ResultStoreBase):
         """Location of the database file."""
         return self._path
 
-    def _connect(self) -> sqlite3.Connection:
-        conn = sqlite3.connect(self._path, timeout=30.0)
-        conn.row_factory = sqlite3.Row
-        return conn
+    @contextmanager
+    def _connect(self) -> Iterator[sqlite3.Connection]:
+        """The store's connection, held under its lock for one transaction.
+
+        Commits when the block exits cleanly, rolls back when it raises.
+        """
+        with self._lock, self._conn:
+            yield self._conn
+
+    def close(self) -> None:
+        """Close the connection (idempotent); the store is unusable after."""
+        with self._lock:
+            self._conn.close()
 
     # ------------------------------------------------------------------
     # Jobs

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import threading
+import time
 from dataclasses import replace
 
 import pytest
@@ -22,6 +24,7 @@ from repro.obs.provenance import (
     render_provenance,
 )
 from repro.service.store import ResultStore
+from repro.workloads import make_workload
 from repro.workloads.stereo import StereoMatchingWorkload
 
 
@@ -78,6 +81,34 @@ class TestManifest:
         assert phases.get("sweep", 0.0) > 0.0
         assert phases.get("run", 0.0) > 0.0
         assert phases["run"] <= phases["sweep"] + 1e-3
+
+    def test_concurrent_sweeps_count_only_their_own_spans(self):
+        barrier = threading.Barrier(2)
+        walls = {}
+
+        def sweep(name):
+            workload = scaled(make_workload(name))
+            experiment = PowerCapExperiment(
+                [workload], caps_w=(150.0,), repetitions=1,
+                slice_accesses=60_000,
+            )
+            barrier.wait()
+            t0 = time.perf_counter()
+            result = experiment.run_workload(workload)
+            walls[name] = (result, time.perf_counter() - t0)
+
+        threads = [
+            threading.Thread(target=sweep, args=(name,))
+            for name in ("stereo", "sire")
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert set(walls) == {"stereo", "sire"}
+        for name, (result, wall) in walls.items():
+            sweep_s = result.provenance["phase_seconds"]["sweep"]
+            assert sweep_s <= wall + 1e-3, name
 
     def test_config_digest_is_stable(self):
         config = sandy_bridge_config()

@@ -2,19 +2,28 @@
 
 from __future__ import annotations
 
+import json
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.experiment import PowerCapExperiment
 from repro.errors import SimulationError
 from repro.obs.timeseries import (
     STANDARD_CHANNELS,
+    TIMELINE_SCHEMA_VERSION,
     RunTimeline,
     SeriesChannel,
     TelemetryConfig,
     TelemetrySampler,
+    _sig,
+    _sig_array,
     timeline_from_dict,
     timeline_to_dict,
 )
+
+from ..core.test_blockstep import SLICE_ACCESSES, _make_workload
 
 
 def filled_channel(n=100, capacity=16) -> SeriesChannel:
@@ -344,3 +353,114 @@ class TestTelemetrySampler:
         sampler = TelemetrySampler(TelemetryConfig())
         with pytest.raises(SimulationError):
             sampler.record(-0.1, {"power_w": 1.0})
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def _reference_timeline_dict(timeline: RunTimeline) -> dict:
+    """``timeline_to_dict`` as it was: :func:`_sig` on every element."""
+    def channel(ch):
+        pts = ch.points()
+        return {
+            "unit": ch.unit,
+            "capacity": ch.capacity,
+            "decimations": ch.decimations,
+            "t": [_sig(p.t_s) for p in pts],
+            "dt": [_sig(p.dt_s) for p in pts],
+            "mean": [_sig(p.mean) for p in pts],
+            "min": [_sig(p.vmin) for p in pts],
+            "max": [_sig(p.vmax) for p in pts],
+        }
+
+    return {
+        "schema": TIMELINE_SCHEMA_VERSION,
+        "workload": timeline.workload,
+        "cap_w": timeline.cap_w,
+        "reps": timeline.reps,
+        "period_s": _sig(timeline.period_s),
+        "channels": {n: channel(c) for n, c in timeline.channels.items()},
+    }
+
+
+def _reference_csv(timeline: RunTimeline) -> str:
+    """``RunTimeline.to_csv`` as it was: :func:`_sig` on every element."""
+    lines = ["workload,cap,channel,t_s,dt_s,mean,min,max"]
+    for name, ch in timeline.channels.items():
+        for p in ch.points():
+            lines.append(
+                f"{timeline.workload},{timeline.cap_label},{name},"
+                f"{_sig(p.t_s):g},{_sig(p.dt_s):g},{_sig(p.mean):g},"
+                f"{_sig(p.vmin):g},{_sig(p.vmax):g}"
+            )
+    return "\n".join(lines) + "\n"
+
+
+def _adversarial() -> np.ndarray:
+    """Values at the edges of the vectorized rounding's fast path."""
+    rng = np.random.default_rng(20)
+    mantissas = rng.integers(10**7, 10**8, 2000) + 0.5
+    ties = mantissas / 10.0 ** rng.integers(-8, 16, 2000)
+    pow10 = 10.0 ** np.arange(-20.0, 25.0)
+    edges = np.concatenate(
+        [ties, pow10, pow10 * 9.99999995, pow10 * 0.999999995]
+    )
+    near = np.concatenate(
+        [edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)]
+    )
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -1e-310,
+               2.2250738585072014e-308, 1.7976931348623157e308]
+    return np.concatenate([near, -near, special])
+
+
+class TestExactRounding:
+    """``_sig_array`` (and every serializer on it) equals ``_sig`` bit for bit."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.floats(allow_subnormal=True), max_size=40))
+    def test_matches_scalar_on_any_floats(self, values):
+        got = _sig_array(np.array(values, dtype=np.float64))
+        assert list(_bits(got)) == list(_bits([_sig(v) for v in values]))
+
+    def test_adversarial_array(self):
+        values = _adversarial()
+        got = _sig_array(values)
+        want = [_sig(v) for v in values.tolist()]
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+
+    def test_channel_to_dict_matches_reference(self):
+        ch = SeriesChannel("x", "W", capacity=8)
+        for i, v in enumerate(_adversarial()[::97]):
+            ch.add(i / 3.0, 1.0 / 7.0, v, -abs(v), abs(v))
+        want = _reference_timeline_dict(
+            RunTimeline("w", None, 0.25, channels={"x": ch})
+        )["channels"]["x"]
+        assert json.dumps(ch.to_dict()) == json.dumps(want)
+
+    @pytest.fixture(scope="class")
+    def real_timelines(self):
+        timelines = []
+        for name in ("stereo", "sire", "stride"):
+            workload = _make_workload(name)
+            result = PowerCapExperiment(
+                [workload],
+                caps_w=(140.0, 120.0),
+                repetitions=2,
+                slice_accesses=SLICE_ACCESSES,
+                telemetry=True,
+            ).run_workload(workload)
+            rows = (result.baseline, *result.by_cap.values())
+            timelines += [row.timeline for row in rows]
+        return timelines
+
+    def test_real_timelines_to_dict(self, real_timelines):
+        for timeline in real_timelines:
+            assert len(timeline.channels) == len(STANDARD_CHANNELS)
+            got = json.dumps(timeline_to_dict(timeline), sort_keys=True)
+            want = json.dumps(_reference_timeline_dict(timeline), sort_keys=True)
+            assert got == want, (timeline.workload, timeline.cap_w)
+
+    def test_real_timelines_to_csv(self, real_timelines):
+        for timeline in real_timelines:
+            assert timeline.to_csv() == _reference_csv(timeline)

@@ -17,6 +17,7 @@ from repro.obs.tracing import (
     span,
     start_tracing,
     stop_tracing,
+    thread_phase_totals,
     tracing_enabled,
 )
 
@@ -128,6 +129,19 @@ class TestPhaseAccumulator:
             pass
         reset_phase_totals()
         assert phase_totals() == {}
+
+    def test_thread_totals_hold_only_this_threads_spans(self):
+        def tick():
+            with span("tick"):
+                pass
+
+        before = thread_phase_totals().get("tick", {"count": 0.0})["count"]
+        worker = threading.Thread(target=tick)
+        worker.start()
+        worker.join()
+        tick()
+        assert phase_totals()["tick"]["count"] == 2
+        assert thread_phase_totals()["tick"]["count"] == before + 1
 
     def test_disabled_is_noop(self):
         set_enabled(False)

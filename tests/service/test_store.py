@@ -9,12 +9,17 @@ PAPI counter dicts and cap labels included.
 from __future__ import annotations
 
 import json
+import os
 import sqlite3
+import subprocess
+import sys
 import time
 from contextlib import closing
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.experiment import ExperimentResult
 from repro.core.metrics import AveragedResult
 from repro.core.serialize import experiment_to_dict
@@ -198,6 +203,48 @@ CREATE TABLE result_rows (
     PRIMARY KEY (spec_digest, workload, cap_label)
 );
 """
+
+
+#: Records a job and puts a result, then leaves without close() or a
+#: checkpoint, as a killed process would.
+_EXIT_WITHOUT_CLOSE = """
+import json, os, sys
+from repro.service.jobs import Job, JobSpec
+from repro.service.store import ResultStore
+store = ResultStore(sys.argv[1])
+job = Job(spec=JobSpec(caps_w=(150.0,), scale=0.01), created_at=100.0)
+store.record_job(job)
+with open(sys.argv[2]) as f:
+    store.put_result(job.spec_digest, json.load(f))
+print(job.id, flush=True)
+os._exit(0)
+"""
+
+
+class TestExitWithoutClose:
+    def test_committed_writes_survive(self, tmp_path):
+        path = tmp_path / "svc.sqlite3"
+        doc = as_doc({"StereoMatching": make_result()})
+        doc_path = tmp_path / "doc.json"
+        doc_path.write_text(json.dumps(doc))
+        src = Path(repro.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", _EXIT_WITHOUT_CLOSE, str(path), str(doc_path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        # The commits sit in the write-ahead log, never checkpointed.
+        assert Path(f"{path}-wal").stat().st_size > 0
+        store = ResultStore(path)
+        job = store.get_job(proc.stdout.strip())
+        assert job is not None and job.created_at == 100.0
+        assert store._get_result_json(job.spec_digest) == json.dumps(
+            doc, sort_keys=True
+        )
+        store.close()
 
 
 class TestRowsEraStoreFile:

@@ -10,8 +10,8 @@ Postgres backend plugs into this suite unchanged.
 from __future__ import annotations
 
 import json
+import sys
 import threading
-from contextlib import closing
 
 import pytest
 
@@ -36,9 +36,11 @@ BACKENDS = ("sqlite", "memory")
 @pytest.fixture(params=BACKENDS)
 def store(request, tmp_path):
     if request.param == "sqlite":
-        yield SQLiteResultStore(tmp_path / "conformance.sqlite3")
+        store = SQLiteResultStore(tmp_path / "conformance.sqlite3")
     else:
-        yield MemoryResultStore()
+        store = MemoryResultStore()
+    yield store
+    store.close()
 
 
 @pytest.fixture(scope="module")
@@ -149,19 +151,33 @@ class TestConcurrency:
                 job = Job(spec=spec)
                 store.record_job(job)
                 store.put_result(spec.digest(), doc)
+                assert store.get_job(job.id).spec == spec
+                assert store.has_result(spec.digest())
             except Exception as exc:  # noqa: BLE001 — surfaced below
                 errors.append(exc)
 
         threads = [
             threading.Thread(target=write, args=(k,)) for k in range(16)
         ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert not errors
         assert store.result_count() == 16
         assert len(store.list_jobs()) == 16
+
+
+class TestLifecycle:
+    def test_close_is_idempotent(self, store):
+        store.close()
+        store.close()
 
 
 class TestOpenStore:
@@ -169,9 +185,12 @@ class TestOpenStore:
         store = open_store(tmp_path / "s.sqlite3")
         assert isinstance(store, SQLiteResultStore)
         assert store.backend == "sqlite"
-        # connect(timeout=30.0) is the store's whole lock-wait policy.
-        with closing(store._connect()) as conn:
+        # The store's one connection: connect(timeout=30.0) is its whole
+        # lock-wait policy, and the file is in WAL mode.
+        with store._connect() as conn:
             assert conn.execute("PRAGMA busy_timeout").fetchone()[0] == 30000
+            assert conn.execute("PRAGMA journal_mode").fetchone()[0] == "wal"
+        store.close()
 
     def test_sqlite_url(self, tmp_path):
         store = open_store(f"sqlite://{tmp_path}/s.sqlite3")
