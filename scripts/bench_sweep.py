@@ -256,13 +256,6 @@ def main(argv=None):
         help="also write the measured document here (any mode; CI "
         "uploads this without touching the committed baseline)",
     )
-    parser.add_argument(
-        "--archive",
-        type=Path,
-        default=None,
-        help="also append the measured document into this observability "
-        "archive (SQLite), so the bench trajectory accumulates",
-    )
     args = parser.parse_args(argv)
 
     doc = measure(args)
@@ -288,14 +281,6 @@ def main(argv=None):
             json.dumps(doc, indent=2, sort_keys=True) + "\n"
         )
         print(f"wrote artifact {args.artifact}")
-
-    if args.archive is not None:
-        from repro.obs.archive import ObsArchive
-
-        kind, run_id = ObsArchive(args.archive).ingest_bench(
-            doc, source="bench_sweep"
-        )
-        print(f"archived as {run_id} ({kind}) in {args.archive}")
 
     if args.check:
         if not args.baseline.exists():

@@ -20,12 +20,7 @@ instrumentation products are well-formed:
 - **the SSE stream**: ``GET /jobs/<id>/stream`` subscribed to during a
   live sweep delivers at least one telemetry ``sample`` event with
   strictly increasing event ids and closes cleanly on a terminal
-  job-lifecycle event;
-- **the observability archive**: the service runs with ``--archive``
-  semantics (an :class:`repro.obs.archive.ObsArchive` attached), so
-  after the job completes the archive holds ``/metrics`` snapshot rows
-  (including ``repro_build_info``), a distilled per-run record, and
-  ``GET /metrics/history`` serves the recorded series.
+  job-lifecycle event.
 
 The trace, the served timeline JSON, and the captured SSE stream are
 copied into ``$REPRO_SMOKE_ARTIFACT_DIR`` (when set) so CI can upload
@@ -46,7 +41,6 @@ import subprocess
 import sys
 import tempfile
 import time
-import urllib.parse
 import urllib.request
 from pathlib import Path
 
@@ -87,8 +81,6 @@ def check_timeline_api(tmp: Path) -> tuple[Path, Path]:
         port=0,
         workers=1,
         rate_cache=tmp / "rates.json",
-        archive=tmp / "archive.sqlite3",
-        archive_period_s=0.2,
     )
     service.start()
     print(f"[obs-smoke] service up at {service.url}")
@@ -127,54 +119,10 @@ def check_timeline_api(tmp: Path) -> tuple[Path, Path]:
         timeline_path = tmp / "timeline.json"
         timeline_path.write_bytes(raw)
 
-        check_archive(service, job["id"])
-
         stream_path = check_sse_stream(service, tmp)
         return timeline_path, stream_path
     finally:
         service.shutdown(drain=False)
-
-
-def check_archive(service, job_id: str) -> None:
-    """The attached archive holds snapshots and the completed run."""
-    archive = service.archive
-    assert archive is not None, "service did not attach the archive"
-    # The recorder snapshots once at start(); give the periodic loop a
-    # beat so at least one timed scrape lands too.
-    deadline = time.monotonic() + 10.0
-    while time.monotonic() < deadline and archive.snapshot_count() == 0:
-        time.sleep(0.1)
-    n_rows = archive.snapshot_count()
-    assert n_rows > 0, "no /metrics snapshot rows recorded while serving"
-    series = archive.snapshot_series()
-    assert any(s.startswith("repro_build_info") for s in series), series
-    assert any(s.startswith("repro_jobs_submitted_total") for s in series), (
-        series
-    )
-
-    run = archive.get_run(job_id)
-    assert run is not None, f"completed job {job_id} not archived"
-    assert run["kind"] == "job", run
-    assert run["series"].get("runs_per_s", 0.0) > 0.0, run["series"]
-    assert any(k.startswith("phase.") for k in run["series"]), run["series"]
-
-    history = json.loads(http("GET", service.url + "/metrics/history"))
-    # Snapshots keep landing while this runs, and a series once archived
-    # stays, so each later read holds every series an earlier one saw.
-    assert (
-        set(series) <= set(history["series"]) <= set(archive.snapshot_series())
-    ), (series, history["series"])
-    name = next(s for s in series if s.startswith("repro_jobs_submitted_total"))
-    points = json.loads(
-        http("GET", service.url + "/metrics/history?series="
-             + urllib.parse.quote(name))
-    )
-    assert points["points"], f"no history points served for {name}"
-    print(
-        f"[obs-smoke] archive recorded {n_rows} snapshot rows over "
-        f"{len(series)} series and the run record for {job_id}; "
-        "/metrics/history serves them"
-    )
 
 
 def parse_sse(text: str) -> list[dict]:

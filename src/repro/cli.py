@@ -21,12 +21,7 @@ Subcommands map one-to-one onto the paper's experiments:
   ``--csv``);
 - ``top``         — live ASCII dashboard over a running service's
   ``/metrics`` + ``/healthz`` (queue, workers, rate cache, stream
-  bus, fleet health, detections);
-- ``trends``      — regression trends over the observability archive's
-  run history (median-shift per series against a named baseline,
-  ASCII sparklines, ``--check`` to fail on drift, ``--ingest`` to append
-  BENCH_sweep.json documents);
-- ``compare``     — per-series deltas between two archived runs.
+  bus, fleet health, detections).
 
 All subcommands accept ``--scale`` to shrink the instruction budgets
 (the shape is scale-invariant; see DESIGN.md §5) and ``--seed`` for
@@ -353,13 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="table",
         help="output format (json emits the full run document)",
     )
-    fleet.add_argument(
-        "--archive",
-        default=None,
-        metavar="PATH",
-        help="observability archive (SQLite) to record this run and its "
-        "windowed health rollups into",
-    )
 
     serve = sub.add_parser(
         "serve",
@@ -386,21 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=3,
         help="retry budget per job before it is marked FAILED",
-    )
-    serve.add_argument(
-        "--archive",
-        default=None,
-        metavar="PATH",
-        help="observability archive (SQLite): record periodic /metrics "
-        "snapshots and per-run records, and serve /metrics/history + "
-        "/runs/compare",
-    )
-    serve.add_argument(
-        "--archive-period",
-        type=float,
-        default=5.0,
-        metavar="SECONDS",
-        help="wall seconds between archived metric snapshots",
     )
     serve.add_argument(
         "--shards",
@@ -523,90 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="render a single frame and exit (no repaint escapes)",
     )
 
-    trends = sub.add_parser(
-        "trends",
-        help="regression trends over the archived run history "
-        "(median-shift per series, sparklines; --check fails on drift)",
-    )
-    trends.add_argument(
-        "--archive",
-        default="repro-archive.sqlite3",
-        metavar="PATH",
-        help="observability archive to read (and --ingest into)",
-    )
-    trends.add_argument(
-        "--ingest",
-        action="append",
-        default=None,
-        metavar="PATH",
-        help="BENCH_sweep.json document to append into the archive "
-        "before analysing (repeatable)",
-    )
-    trends.add_argument(
-        "--kind",
-        default=None,
-        help="restrict to one run kind (job, fleet, bench_sweep)",
-    )
-    trends.add_argument(
-        "--series",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help="series to analyse (repeatable; default: every recorded "
-        "series)",
-    )
-    trends.add_argument(
-        "--window",
-        type=int,
-        default=3,
-        metavar="N",
-        help="recent window: the median of the last N runs is compared "
-        "against the baseline (or the earlier history's median)",
-    )
-    trends.add_argument(
-        "--baseline",
-        default=None,
-        metavar="NAME",
-        help="named baseline to compare against (default: the median "
-        "of the history before the window)",
-    )
-    trends.add_argument(
-        "--save-baseline",
-        default=None,
-        metavar="NAME",
-        help="store the current recent medians as a named baseline "
-        "and exit",
-    )
-    trends.add_argument(
-        "--check",
-        action="store_true",
-        help="exit nonzero when any analysed series regressed",
-    )
-    trends.add_argument(
-        "--format",
-        choices=("table", "json"),
-        default="table",
-        help="output format",
-    )
-
-    compare = sub.add_parser(
-        "compare",
-        help="per-series deltas between two archived runs",
-    )
-    compare.add_argument("a", help="run id of the reference run")
-    compare.add_argument("b", help="run id of the candidate run")
-    compare.add_argument(
-        "--archive",
-        default="repro-archive.sqlite3",
-        metavar="PATH",
-        help="observability archive to read",
-    )
-    compare.add_argument(
-        "--format",
-        choices=("table", "json"),
-        default="table",
-        help="output format",
-    )
     return parser
 
 
@@ -865,17 +754,6 @@ def _cmd_fleet(args) -> str:
         if args.budget_w is not None
         else args.budget_frac * float(topology.max_cap_w.sum())
     )
-    archive = None
-    run_id = None
-    health_sink = None
-    if args.archive is not None:
-        import time as _time
-
-        from .obs.archive import ObsArchive
-
-        archive = ObsArchive(args.archive)
-        run_id = f"fleet-{_time.time():.3f}"
-        health_sink = archive.health_sink(run_id)
     engine = FleetEngine(
         topology,
         make_traffic(traffic_spec),
@@ -886,27 +764,17 @@ def _cmd_fleet(args) -> str:
         rebalance_threshold_w=args.threshold,
         escalation=EscalationConfig() if args.escalation else None,
         seed=args.seed,
-        health_sink=health_sink,
     )
     result = engine.run(args.duration)
-    if archive is not None:
-        from .obs.archive import distill_fleet_doc
-
-        series, meta = distill_fleet_doc(result.to_dict())
-        archive.record_run(run_id, "fleet", series, meta=meta, source="cli")
     parity = run_parity(strategy=DivisionStrategy(args.strategy)) if args.parity else None
     if args.format == "json":
         doc = result.to_dict()
         if parity is not None:
             doc["parity"] = parity.to_dict()
-        if run_id is not None:
-            doc["archived_run_id"] = run_id
         return json.dumps(doc, indent=2, sort_keys=True)
     out = format_fleet_summary(result)
     if parity is not None:
         out += "\n" + format_parity_table(parity)
-    if run_id is not None:
-        out += f"\narchived as {run_id} in {args.archive}"
     return out
 
 
@@ -924,8 +792,6 @@ def _cmd_serve(args) -> str:
         rate_cache=args.rate_cache,
         max_attempts=args.max_attempts,
         batch=args.batch,
-        archive=args.archive,
-        archive_period_s=args.archive_period,
         shards=args.shards,
         admission_rate=args.admission_rate,
         admission_burst=args.admission_burst,
@@ -934,8 +800,7 @@ def _cmd_serve(args) -> str:
 
     # SIGTERM/SIGINT trigger one graceful shutdown: finish in-flight
     # jobs, re-record still-queued ones for restart recovery, flush
-    # every rate-cache partition and the archive recorder, and close
-    # SSE streams with a terminal event.  Shutdown joins threads and
+    # every rate-cache partition, and close SSE streams with a terminal event.  Shutdown joins threads and
     # can take seconds, so it runs on a helper thread rather than in
     # the signal handler; the loop below sees ``stopping`` and waits
     # in ``shutdown`` until the helper has finished.
@@ -963,8 +828,7 @@ def _cmd_serve(args) -> str:
     print(
         f"  workers={service.scheduler.workers} "
         f"shards={service.scheduler.effective_shards} db={args.db} "
-        f"rate_cache={args.rate_cache or 'off'} "
-        f"archive={args.archive or 'off'}",
+        f"rate_cache={args.rate_cache or 'off'}",
         flush=True,
     )
     try:
@@ -1242,143 +1106,6 @@ def _cmd_timeline(args) -> str:
     return "\n".join(lines).rstrip()
 
 
-def _open_archive(path: str):
-    """An existing archive, or a clear error for read-style commands."""
-    from .obs.archive import ObsArchive
-
-    if not Path(path).is_file():
-        raise ReproError(
-            f"no archive at {path!r}; create one with serve/fleet/bench "
-            "--archive, or trends --ingest"
-        )
-    return ObsArchive(path)
-
-
-def _cmd_trends(args) -> str:
-    from .core.ascii_plot import sparkline
-    from .obs.archive import ObsArchive, detect_trends
-
-    if args.ingest:
-        # Ingestion may create the archive; analysis alone never does.
-        archive = ObsArchive(args.archive)
-        for path in args.ingest:
-            try:
-                doc = json.loads(Path(path).read_text())
-            except (OSError, ValueError) as exc:
-                raise ReproError(f"cannot read {path}: {exc}") from exc
-            kind, run_id = archive.ingest_bench(doc, source=path)
-            _log.info(
-                "bench_ingested", path=path, kind=kind, run_id=run_id
-            )
-    else:
-        archive = _open_archive(args.archive)
-    trends = detect_trends(
-        archive,
-        series=args.series,
-        kind=args.kind,
-        window=args.window,
-        baseline=args.baseline,
-    )
-    if args.save_baseline:
-        values = {
-            t.series: t.recent for t in trends if t.recent is not None
-        }
-        if not values:
-            raise ReproError("no series with history to baseline")
-        archive.set_baseline(args.save_baseline, values)
-        return (
-            f"baseline {args.save_baseline!r} saved "
-            f"({len(values)} series) in {args.archive}"
-        )
-    regressions = [t for t in trends if t.is_regression]
-    if args.format == "json":
-        out = json.dumps(
-            {
-                "archive": args.archive,
-                "window": args.window,
-                "baseline": args.baseline,
-                "trends": [t.to_dict() for t in trends],
-                "regressions": [t.series for t in regressions],
-            },
-            indent=2,
-            sort_keys=True,
-        )
-    else:
-        if not trends:
-            out = f"no run series recorded in {args.archive}"
-        else:
-            name_w = max(len(t.series) for t in trends)
-            lines = [
-                f"trends over {args.archive} "
-                f"(window {args.window}, baseline "
-                f"{args.baseline or 'history median'})"
-            ]
-            for t in sorted(
-                trends, key=lambda t: (t.verdict != "regression", t.series)
-            ):
-                spark = (
-                    sparkline(t.values[-24:]) if len(t.values) > 1 else "·"
-                )
-                if t.shift is None:
-                    detail = f"n={t.n}"
-                else:
-                    arrow = "↑" if t.shift >= 0 else "↓"
-                    detail = (
-                        f"{t.reference:.6g} → {t.recent:.6g} "
-                        f"({arrow}{abs(t.shift) * 100:.1f}%)"
-                    )
-                lines.append(
-                    f"  {t.series:<{name_w}}  {t.verdict:<12} {spark}  "
-                    f"{detail}"
-                )
-            lines.append(
-                f"{len(regressions)} regression(s) across "
-                f"{len(trends)} series"
-            )
-            out = "\n".join(lines)
-    if args.check and regressions:
-        # The report still lands on stdout before the nonzero exit.
-        print(out)
-        raise ReproError(
-            f"{len(regressions)} series regressed beyond threshold: "
-            + ", ".join(sorted(t.series for t in regressions))
-        )
-    return out
-
-
-def _cmd_compare(args) -> str:
-    archive = _open_archive(args.archive)
-    from .errors import SimulationError
-
-    try:
-        comparison = archive.compare_runs(args.a, args.b)
-    except SimulationError as exc:
-        raise ReproError(str(exc)) from exc
-    if args.format == "json":
-        return json.dumps(comparison, indent=2, sort_keys=True)
-    a, b = comparison["a"], comparison["b"]
-    lines = [
-        f"compare {a['run_id']} ({a['kind']}) → {b['run_id']} ({b['kind']})",
-    ]
-    names = sorted(comparison["series"])
-    name_w = max((len(n) for n in names), default=1)
-    for name in names:
-        entry = comparison["series"][name]
-        va, vb = entry["a"], entry["b"]
-        if va is None or vb is None:
-            side = "a only" if vb is None else "b only"
-            value = va if vb is None else vb
-            lines.append(f"  {name:<{name_w}}  {value:>14.6g}  ({side})")
-            continue
-        rel = entry.get("rel")
-        rel_txt = "" if rel is None else f"  ({rel * +100:+.1f}%)"
-        lines.append(
-            f"  {name:<{name_w}}  {va:>14.6g} → {vb:>14.6g}"
-            f"  Δ {entry['delta']:+.6g}{rel_txt}"
-        )
-    return "\n".join(lines)
-
-
 def _cmd_top(args) -> None:
     """Live dashboard; writes frames itself (repaints in place)."""
     from .obs.top import run_top
@@ -1449,8 +1176,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "inspect": _cmd_inspect,
         "timeline": _cmd_timeline,
         "top": _cmd_top,
-        "trends": _cmd_trends,
-        "compare": _cmd_compare,
     }[args.command]
     try:
         with span("cli", command=args.command):

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -234,7 +234,6 @@ class FleetEngine:
         telemetry_capacity: int = 512,
         record_trajectory: bool = False,
         health: Optional[bool] = None,
-        health_sink: Optional[Callable[[float, float, dict], None]] = None,
     ) -> None:
         topology.validate()
         if budget_w <= 0:
@@ -263,9 +262,6 @@ class FleetEngine:
         self._health_enabled = (
             self._telemetry if health is None else bool(health)
         )
-        # Per-window rollup callback (the archive's health_sink);
-        # ignored unless health rollups are enabled.
-        self._health_sink = health_sink
 
         streams = RngStreams(seed=self._seed)
         traffic.bind(topology, streams.stream("fleet-traffic"))
@@ -341,9 +337,7 @@ class FleetEngine:
                 )
         self._health: Optional[FleetHealth] = None
         if self._health_enabled:
-            self._health = FleetHealth(
-                t, self._telemetry_capacity, sink=self._health_sink
-            )
+            self._health = FleetHealth(t, self._telemetry_capacity)
             # Health channels ride in the same timeline dict, so the
             # result/CLI/stream surfaces treat them like any channel.
             self._channels.update(self._health.channels)

@@ -35,7 +35,7 @@ Everything else happens once at run end.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -93,14 +93,8 @@ class FleetHealth:
         self,
         topology: FleetTopology,
         capacity: int,
-        sink: Optional[Callable[[float, float, dict], None]] = None,
     ) -> None:
         self._topo = topology
-        # Optional ``sink(t0, dt, rollup)`` invoked once per flushed
-        # window (the archive's health_sink) — None keeps the flush
-        # path identical to the unsinked one the throughput guard
-        # measures.
-        self._sink = sink
         self.channels: Dict[str, SeriesChannel] = {
             name: SeriesChannel(name, unit, capacity=capacity)
             for name, unit in HEALTH_CHANNELS
@@ -313,17 +307,6 @@ class FleetHealth:
             means = (rack_headroom / n_alloc).tolist()
             for name, mean in zip(self._rack_names, means):
                 ch[name].add(t0, dt, mean)
-        if self._sink is not None:
-            self._sink(
-                t0,
-                dt,
-                {
-                    "headroom_w": float(headroom.mean()),
-                    "capfloor_frac": cf,
-                    "slo_debt_rate_w": float(ssums.mean()),
-                    "escalation_level": float(levels.mean()),
-                },
-            )
 
         self._w_ticks = 0
         self._w_dt = 0.0

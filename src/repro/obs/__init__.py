@@ -31,26 +31,9 @@ subsystem threads through (see ``docs/OBSERVABILITY.md``):
 - :mod:`.profile` — a stdlib sampling profiler
   (``sys._current_frames`` on a background thread) attributing wall
   time to open spans and hot functions, with per-quantum cost
-  attribution (``--profile`` / ``REPRO_PROFILE``);
-- :mod:`.archive` — the persistent observability warehouse: SQLite
-  metric-snapshot history (background :class:`MetricsRecorder` with
-  exact-integral retention), distilled per-run records, fleet-health
-  windows, bench-document ingestion, named baselines, and the
-  median-shift trend engine behind ``repro-powercap trends`` /
-  ``compare`` and ``GET /metrics/history`` / ``GET /runs/compare``.
+  attribution (``--profile`` / ``REPRO_PROFILE``).
 """
 
-from .archive import (
-    ARCHIVE_SCHEMA_VERSION,
-    MetricsRecorder,
-    ObsArchive,
-    Trend,
-    TrendRule,
-    detect_trends,
-    distill_experiment_doc,
-    distill_fleet_doc,
-    rule_for_series,
-)
 from .detect import (
     Detection,
     detect_cap_overshoot,
@@ -177,15 +160,6 @@ __all__ = [
     "BuildInfo",
     "BuildInfoMetrics",
     "build_info_metrics",
-    "ARCHIVE_SCHEMA_VERSION",
-    "ObsArchive",
-    "MetricsRecorder",
-    "Trend",
-    "TrendRule",
-    "detect_trends",
-    "rule_for_series",
-    "distill_experiment_doc",
-    "distill_fleet_doc",
     "StreamEvent",
     "Subscription",
     "EventBus",

@@ -243,15 +243,6 @@ class MetricsRegistry:
             self._metrics.append(metric)
         return metric
 
-    def samples(self) -> List[Sample]:
-        """Every registered metric's current samples, in order."""
-        with self._lock:
-            metrics = list(self._metrics)
-        out: List[Sample] = []
-        for metric in metrics:
-            out.extend(metric.samples())
-        return out
-
     def render(self) -> str:
         """The Prometheus text exposition of every registered metric."""
         lines: List[str] = []
@@ -788,20 +779,18 @@ def fleet_metrics() -> FleetMetrics:
 class BuildInfoMetrics:
     """Build-identity panel: the ``repro_build_info`` constant gauge.
 
-    Archived metric snapshots (and plain scrapes) become correlatable
-    across commits: the label set carries the package version, the git
-    revision of the source tree (``unknown`` outside a checkout), and
-    the schema versions of every versioned persistence format —
-    provenance manifests, telemetry timelines, and the observability
-    archive.
+    Scrapes become correlatable across commits: the label set carries
+    the package version, the git revision of the source tree
+    (``unknown`` outside a checkout), and the schema versions of the
+    versioned persistence formats — provenance manifests and telemetry
+    timelines.
     """
 
     def __init__(self) -> None:
-        # Local imports: provenance shells out to git, and the archive
-        # module imports from this package — resolving both lazily at
-        # first scrape keeps module load cheap and cycle-free.
+        # Local imports: the package root imports this module, so
+        # resolving them lazily at first scrape keeps module load
+        # cheap and cycle-free.
         from .. import __version__
-        from .archive import ARCHIVE_SCHEMA_VERSION
         from .provenance import PROVENANCE_SCHEMA_VERSION, git_describe
         from .timeseries import TIMELINE_SCHEMA_VERSION
 
@@ -815,7 +804,6 @@ class BuildInfoMetrics:
                     "git": git_describe() or "unknown",
                     "provenance_schema": str(PROVENANCE_SCHEMA_VERSION),
                     "timeline_schema": str(TIMELINE_SCHEMA_VERSION),
-                    "archive_schema": str(ARCHIVE_SCHEMA_VERSION),
                 },
             )
         )
@@ -989,16 +977,3 @@ class ServiceMetrics:
         return self.registry.render() + "".join(
             panel.render() for panel in self._panels()
         )
-
-    def sample_all(self) -> List[Sample]:
-        """Every panel's current ``(name, labels, value)`` samples.
-
-        The same coverage as :meth:`render`, as structured samples —
-        this is what the archive's background recorder scrapes, so a
-        persisted snapshot carries exactly what ``GET /metrics``
-        would have shown at that instant.
-        """
-        out = self.registry.samples()
-        for panel in self._panels():
-            out.extend(panel.samples())
-        return out

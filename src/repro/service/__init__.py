@@ -11,8 +11,7 @@ health and throughput as Prometheus metrics.
 - :mod:`.jobs` — the frozen :class:`JobSpec`, the one function that
   turns a spec into its result document, job lifecycle states, and
   the priority queue with retry backoff;
-- :mod:`.scheduler` — the worker pool that runs, stores and archives
-  each job;
+- :mod:`.scheduler` — the worker pool that runs and stores each job;
 - :mod:`.shards` — partitioned worker processes routed by consistent
   hashing over spec digests, each owning a rate-cache partition;
 - :mod:`.store` — the pluggable result store (SQLite default,

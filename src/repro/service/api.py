@@ -4,8 +4,8 @@ The HTTP API itself lives in :mod:`repro.service.routes` (one
 :class:`~repro.service.routes.Router`), and
 :class:`~repro.service.asyncapi.AsyncFrontEnd` serves it.  This module
 provides :class:`ExperimentService` — the composition root wiring the
-result store, scheduler, admission controller, optional shard pool,
-optional archive recorder, and the front end.
+result store, scheduler, admission controller, optional shard pool
+and the front end.
 
 Endpoints (see ``docs/SERVICE.md`` for payloads):
 
@@ -21,8 +21,6 @@ Endpoints (see ``docs/SERVICE.md`` for payloads):
 ``DELETE /jobs/{id}`` cancel a still-queued job
 ``GET /healthz``      liveness + queue depth + shard/front-end identity
 ``GET /metrics``      Prometheus text exposition (version 0.0.4)
-``GET /metrics/history``  archived scrape snapshots for one series
-``GET /runs/compare`` per-series deltas between two archived runs
 ====================  =====================================================
 """
 
@@ -32,7 +30,6 @@ import os
 import threading
 from typing import Optional
 
-from ..obs.archive import MetricsRecorder, ObsArchive
 from ..obs.logging import get_logger
 from .admission import AdmissionController
 from .asyncapi import AsyncFrontEnd
@@ -67,8 +64,6 @@ class ExperimentService:
         slice_accesses: int = 320_000,
         recover: bool = True,
         batch: "bool | None" = None,
-        archive: "ObsArchive | str | os.PathLike | None" = None,
-        archive_period_s: float = 5.0,
         shards: int = 0,
         admission_rate: float = 200.0,
         admission_burst: float = 400.0,
@@ -78,18 +73,6 @@ class ExperimentService:
         self.metrics = ServiceMetrics()
         self._stopping = threading.Event()
         self._stopped = threading.Event()
-        if archive is not None and not isinstance(archive, ObsArchive):
-            archive = ObsArchive(archive)
-        self.archive: Optional[ObsArchive] = archive
-        # The recorder thread scrapes every panel straight into the
-        # archive (no HTTP round-trip) while the service runs.
-        self._recorder: Optional[MetricsRecorder] = (
-            None
-            if archive is None
-            else MetricsRecorder(
-                archive, self.metrics.sample_all, period_s=archive_period_s
-            )
-        )
         # Shard pool (with the single-core in-process fallback).  When
         # sharded, each shard owns its own rate-cache partition and the
         # scheduler's in-process cache stays unopened.
@@ -112,7 +95,6 @@ class ExperimentService:
             max_attempts=max_attempts,
             slice_accesses=slice_accesses,
             batch=batch,
-            archive=archive,
             shard_pool=self._shard_pool,
         )
         self.admission = AdmissionController(
@@ -175,9 +157,6 @@ class ExperimentService:
             self._shard_pool.start()
         if start_workers:
             self.scheduler.start()
-        if self._recorder is not None:
-            self._recorder.snapshot_once()
-            self._recorder.start()
         _log.info(
             "service_started",
             url=self.url,
@@ -198,7 +177,7 @@ class ExperimentService:
            queued, without it queued jobs are re-recorded for restart
            recovery and only in-flight jobs are awaited — then flushes
            the rate cache (or every shard partition, via the pool);
-        4. the archive recorder takes a final snapshot and stops.
+        4. the store closes.
 
         Idempotent; safe to call from a signal-handler thread.  A call
         made while another thread is shutting down waits (up to
@@ -213,10 +192,6 @@ class ExperimentService:
             self.admission.begin_shutdown()
             self._frontend.shutdown()
             self.scheduler.shutdown(drain=drain, timeout=timeout)
-            if self._recorder is not None:
-                # Final scrape after the drain so the archived history
-                # ends on the service's terminal state.
-                self._recorder.stop(final_snapshot=True)
             self.store.close()
         finally:
             self._stopped.set()

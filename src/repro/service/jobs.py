@@ -204,7 +204,7 @@ def run_spec(
     The sweep runs serially in the calling thread or process: a job is
     one application at a small scale, and shards are the service's one
     process layer.  The document is serialized here, once, in the
-    process that simulated it; the store and the archive take it as is.
+    process that simulated it; the store takes it as is.
     """
     experiment = PowerCapExperiment(
         [make_workload(spec.workload, spec.scale)],

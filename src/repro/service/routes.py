@@ -31,7 +31,6 @@ from urllib.parse import parse_qs, urlparse
 
 from ..core.serialize import extract_timelines
 from ..errors import ConfigError, SimulationError
-from ..obs.archive import ObsArchive
 from ..obs.logging import get_logger
 from ..obs.stream import (
     FLEET_TOPIC,
@@ -336,17 +335,6 @@ class Router:
             status, message, method=req.method, path=req.path
         )
 
-    def _archive_or_none(self, req: Request) -> "ObsArchive | Response":
-        archive = self._service.archive
-        if archive is None:
-            return self._error(
-                req,
-                404,
-                "no archive attached; start the service with --archive "
-                "to record metrics history and run records",
-            )
-        return archive
-
     @staticmethod
     def _last_event_id(req: Request) -> Optional[int]:
         """The client's resume offset: header first, then query param."""
@@ -433,10 +421,6 @@ class Router:
             return StreamStart(
                 FleetStreamSession(service, self._last_event_id(req))
             )
-        if parts == ("metrics", "history"):
-            return self._get_metrics_history(req)
-        if parts == ("runs", "compare"):
-            return self._get_runs_compare(req)
         return self._error(req, 404, f"no such resource: {req.path}")
 
     # -- submission / cancellation -------------------------------------
@@ -597,64 +581,3 @@ class Router:
                 self._service, job_id, self._last_event_id(req)
             )
         )
-
-    # -- archive -------------------------------------------------------
-
-    def _get_metrics_history(self, req: Request) -> Response:
-        """Archived scrape snapshots: the series index, or one series.
-
-        Without ``?series=`` the response lists every recorded series
-        name; with it, the series' interval samples (optionally
-        bounded by ``since`` — a UNIX timestamp — and ``limit`` — the
-        newest N points).
-        """
-        archive = self._archive_or_none(req)
-        if isinstance(archive, Response):
-            return archive
-        query = req.query
-        series = (query.get("series") or [None])[0]
-        if series is None:
-            return Response.json(
-                200, {"series": archive.snapshot_series()}
-            )
-        try:
-            since_raw = (query.get("since") or [None])[0]
-            since = None if since_raw is None else float(since_raw)
-            limit_raw = (query.get("limit") or [None])[0]
-            limit = None if limit_raw is None else int(limit_raw)
-        except ValueError as exc:
-            return self._error(req, 400, f"bad query parameter: {exc}")
-        points = archive.metric_history(series, since=since, limit=limit)
-        return Response.json(
-            200,
-            {
-                "series": series,
-                "points": [
-                    {
-                        "t_s": p.t_s,
-                        "dt_s": p.dt_s,
-                        "mean": p.mean,
-                        "min": p.vmin,
-                        "max": p.vmax,
-                    }
-                    for p in points
-                ],
-            },
-        )
-
-    def _get_runs_compare(self, req: Request) -> Response:
-        """Per-series deltas between two archived runs (``?a=&b=``)."""
-        archive = self._archive_or_none(req)
-        if isinstance(archive, Response):
-            return archive
-        query = req.query
-        a = (query.get("a") or [None])[0]
-        b = (query.get("b") or [None])[0]
-        if not a or not b:
-            return self._error(
-                req, 400, "compare needs both ?a=<run_id> and ?b=<run_id>"
-            )
-        try:
-            return Response.json(200, archive.compare_runs(a, b))
-        except SimulationError as exc:
-            return self._error(req, 404, str(exc))

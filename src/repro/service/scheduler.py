@@ -2,11 +2,11 @@
 
 Each worker pops the highest-priority queued job and gets its result
 document from :func:`~repro.service.jobs.run_spec`, serially in the
-worker thread, or from the spec's shard process when sharded.  It
-stores that document and hands the same one to the archive, so each
-result is serialized once.  All workers share one
-:class:`~repro.core.ratecache.RateCache`, so distinct jobs over the
-same (workload, geometry, gating) skip trace simulation entirely.
+worker thread, or from the spec's shard process when sharded, and
+stores it with ``put_result``, the document's one use on completion.
+All workers share one :class:`~repro.core.ratecache.RateCache`, so
+distinct jobs over the same (workload, geometry, gating) skip trace
+simulation entirely.
 
 Failure containment: an exception inside a sweep marks the attempt,
 re-queues the job with exponential backoff while attempts remain, and
@@ -28,7 +28,6 @@ import os
 
 from ..core.ratecache import RateCache
 from ..errors import ReproError
-from ..obs.archive import ObsArchive, distill_experiment_doc
 from ..obs.logging import get_logger
 from ..obs.stream import JOB_TOPIC_PREFIX, event_bus, stream_context
 from ..obs.tracing import span
@@ -55,11 +54,9 @@ class ExperimentScheduler:
         retry_backoff_s: float = 0.5,
         slice_accesses: int = 320_000,
         batch: "bool | None" = None,
-        archive: Optional[ObsArchive] = None,
         shard_pool: Optional[ShardPool] = None,
     ) -> None:
         self._store = store
-        self._archive = archive
         self._queue = JobQueue()
         self._workers = max(1, int(workers))
         if rate_cache is not None and not isinstance(rate_cache, RateCache):
@@ -342,28 +339,6 @@ class ExperimentScheduler:
             batch=self._batch,
         )
 
-    def _archive_run(
-        self, job: Job, doc: Dict[str, dict], wall_s: float
-    ) -> None:
-        """Distill one freshly simulated job into the archive.
-
-        Dedup-answered jobs are skipped upstream — their twin already
-        landed a record, and re-recording would double-count.  Archive
-        faults must never fail a job that just finished simulating.
-        """
-        if self._archive is None:
-            return
-        try:
-            series, meta = distill_experiment_doc(doc, wall_s=wall_s)
-            meta["spec_digest"] = job.spec_digest
-            self._archive.record_run(
-                job.id, "job", series, meta=meta, source="service"
-            )
-        except Exception as exc:  # noqa: BLE001 — archive is best-effort
-            _log.warning(
-                "archive_record_failed", job_id=job.id, error=str(exc)
-            )
-
     def _run_job(self, job: Job) -> None:
         job.state = JobState.RUNNING
         job.started_at = time.time()
@@ -400,7 +375,6 @@ class ExperimentScheduler:
                     with stream_context(topic):
                         doc = self._run_spec(job.spec)
                 self._store.put_result(job.spec_digest, doc)
-                self._archive_run(job, doc, time.perf_counter() - t0)
             job.state = JobState.DONE
             job.error = None
             job.finished_at = time.time()

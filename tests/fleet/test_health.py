@@ -361,75 +361,3 @@ class TestEngineIntegration:
         result = engine.run(30.0)
         assert result.phenomena == []
 
-
-class TestHealthSink:
-    def test_sink_receives_each_flushed_window(self):
-        topo = small_topo()
-        windows = []
-        health = FleetHealth(
-            topo, capacity=64,
-            sink=lambda t0, dt, rollup: windows.append((t0, dt, rollup)),
-        )
-        for i in range(3):
-            observe(
-                health,
-                rack_alloc=[250.0, 250.0],
-                rack_power=[240.0, 230.0],
-                applied=[110.0, 150.0, 110.0, 150.0],
-                shortfall=[50.0, 0.0, 0.0, 0.0],
-                time_s=float(i),
-            )
-        health.finish()
-        # The initial stride is one tick, so each observe flushes.
-        assert len(windows) >= 3
-        t0, dt, rollup = windows[0]
-        assert t0 == 0.0 and dt == pytest.approx(1.0)
-        assert set(rollup) == {
-            "headroom_w", "capfloor_frac", "slo_debt_rate_w",
-            "escalation_level",
-        }
-        # The sink sees the same values the channels record.
-        assert rollup["headroom_w"] == pytest.approx(
-            health.channels["health_headroom_w"].time_weighted_mean()
-        )
-
-    def test_engine_threads_sink_through_to_health(self):
-        windows = []
-        engine = FleetEngine(
-            small_topo(), FlatTraffic(), budget_w=600.0,
-            health_sink=lambda t0, dt, rollup: windows.append(rollup),
-        )
-        engine.run(10.0)
-        assert windows
-        assert all("headroom_w" in w for w in windows)
-
-    def test_sink_does_not_perturb_results(self):
-        def run(sink):
-            engine = FleetEngine(
-                small_topo(), FlatTraffic(), budget_w=600.0,
-                health_sink=sink, seed=7,
-            )
-            return engine.run(20.0)
-
-        with_sink = run(lambda *a: None)
-        without = run(None)
-        # Wall-clock rates legitimately jitter between runs.
-        timing = {"wall_s", "node_steps_per_s"}
-        assert {k: v for k, v in with_sink.summary.items()
-                if k not in timing} == {
-            k: v for k, v in without.summary.items() if k not in timing
-        }
-
-    def test_archive_health_sink_lands_windows(self, tmp_path):
-        from repro.obs.archive import ObsArchive
-
-        archive = ObsArchive(tmp_path / "a.sqlite3")
-        engine = FleetEngine(
-            small_topo(), FlatTraffic(), budget_w=600.0,
-            health_sink=archive.health_sink("fleet-t"),
-        )
-        engine.run(10.0)
-        windows = archive.health_windows("fleet-t")
-        assert windows
-        assert all(w["run_id"] == "fleet-t" for w in windows)
-        assert all(w["dt_s"] > 0.0 for w in windows)

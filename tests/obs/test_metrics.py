@@ -68,14 +68,12 @@ class TestBuildInfo:
     def test_info_convention(self):
         """``repro_build_info`` is a constant-1 gauge with id labels."""
         from repro import __version__
-        from repro.obs.archive import ARCHIVE_SCHEMA_VERSION
         from repro.obs.metrics import build_info_metrics
 
         ((name, labels, value),) = build_info_metrics().build_info.samples()
         assert name == "repro_build_info"
         assert value == 1.0
         assert labels["version"] == __version__
-        assert labels["archive_schema"] == str(ARCHIVE_SCHEMA_VERSION)
         assert labels["git"]  # "unknown" outside a checkout, never empty
         assert {"provenance_schema", "timeline_schema"} <= set(labels)
 
@@ -84,9 +82,13 @@ class TestBuildInfo:
         assert "# TYPE repro_build_info gauge" in text
         assert 'repro_build_info{' in text
 
-    def test_sample_all_covers_every_panel(self):
-        metrics = ServiceMetrics()
-        names = {name for name, _, _ in metrics.sample_all()}
+    def test_render_covers_every_panel(self):
+        text = ServiceMetrics().render()
+        names = {
+            line.split("{")[0].split(" ")[0]
+            for line in text.splitlines()
+            if line and not line.startswith("#")
+        }
         for expected in (
             "repro_build_info",
             "repro_jobs_submitted_total",

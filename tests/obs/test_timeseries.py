@@ -158,10 +158,12 @@ class TestSeriesChannel:
 class TestUnequalPeriodMerge:
     """Rep-merge across channels sampled at different periods.
 
-    The archive's retention path replays stored rows through
-    :class:`SeriesChannel`, so the decimation contract has to hold when
-    the inputs were recorded at unequal sample periods — merge and
-    decimate must commute up to float tolerance on the time integral.
+    :meth:`RunTimeline.merge` averages repetition timelines channel by
+    channel through :meth:`SeriesChannel.merge`.  Repetitions of unequal
+    length decimate a different number of times, so their buckets can
+    differ in width, and the decimation contract has to hold when the
+    inputs were recorded at unequal sample periods — merge and decimate
+    must commute up to float tolerance on the time integral.
     """
 
     def channel(self, period, total_s=50.0, base=100.0, capacity=256):

@@ -1,20 +1,26 @@
 """HTTP API end-to-end: the acceptance path of the service layer.
 
 Covers: submit -> DONE; dedup on resubmission; the timeseries
-endpoint; /healthz; /metrics content; cancellation; error paths.  The
-served result's byte-identity with a direct sweep is checked in
+endpoint; /healthz; /metrics content; cancellation; error paths; and
+that every endpoint docs/SERVICE.md documents is routed.  The served
+result's byte-identity with a direct sweep is checked in
 ``test_async_api.py``.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
 from repro.service.api import ExperimentService
+from repro.service.routes import Request, StreamStart
+
+SERVICE_DOC = Path(__file__).resolve().parents[2] / "docs" / "SERVICE.md"
 
 SPEC = {
     "workload": "stereo",
@@ -146,8 +152,9 @@ class TestTimeseriesEndpoint:
                 "GET",
                 f"/jobs/{finished_job['id']}/timeseries?channel=bogus",
             )
-        assert err.value.code == 400
-        assert "unknown channel" in json.loads(err.value.read())["error"]
+        with err.value:
+            assert err.value.code == 400
+            assert "unknown channel" in json.loads(err.value.read())["error"]
 
     def test_unknown_format_400(self, service, finished_job):
         with pytest.raises(urllib.error.HTTPError) as err:
@@ -156,12 +163,14 @@ class TestTimeseriesEndpoint:
                 "GET",
                 f"/jobs/{finished_job['id']}/timeseries?format=xml",
             )
-        assert err.value.code == 400
+        with err.value:
+            assert err.value.code == 400
 
     def test_unknown_job_404(self, service):
         with pytest.raises(urllib.error.HTTPError) as err:
             request(service, "GET", "/jobs/ghost/timeseries")
-        assert err.value.code == 404
+        with err.value:
+            assert err.value.code == 404
 
 
 class TestHealthAndMetrics:
@@ -210,8 +219,9 @@ class TestErrorPaths:
     def expect_status(self, service, method, path, body, expected):
         with pytest.raises(urllib.error.HTTPError) as err:
             request(service, method, path, body)
-        assert err.value.code == expected
-        return json.loads(err.value.read())
+        with err.value:
+            assert err.value.code == expected
+            return json.loads(err.value.read())
 
     def test_unknown_job_404(self, service):
         body = self.expect_status(service, "GET", "/jobs/ghost", None, 404)
@@ -246,7 +256,8 @@ class TestErrorPaths:
         )
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(req, timeout=10)
-        assert err.value.code == 400
+        with err.value:
+            assert err.value.code == 400
 
     def test_queued_job_result_409_and_cancel(self, tmp_path):
         # API up, workers idle: the job deterministically stays QUEUED.
@@ -277,3 +288,31 @@ class TestErrorPaths:
             service, "DELETE", f"/jobs/{finished_job['id']}", None, 409
         )
         assert "only queued jobs" in body["error"]
+
+
+def documented_endpoints():
+    """``(method, path)`` for each row of SERVICE.md's Endpoints table."""
+    section = SERVICE_DOC.read_text().split("## Endpoints", 1)[1]
+    section = section.split("\n#", 1)[0]
+    return re.findall(r"^\| `([A-Z]+) (/[^`]*)`", section, re.M)
+
+
+class TestDocumentedEndpoints:
+    def test_every_documented_endpoint_is_routed(self, service):
+        """A retired route cannot linger in the docs.
+
+        Each row is dispatched with ``{id}`` set to an unknown job id,
+        so a routed endpoint answers with its own error (no such job,
+        empty body), never the router's catch-all.
+        """
+        rows = documented_endpoints()
+        assert len(rows) >= 10, rows
+        for method, path in rows:
+            target = path.replace("{id}", "no-such-id")
+            result = service.router.dispatch(Request(method, target))
+            if isinstance(result, StreamStart):
+                result.session.close()
+            elif result.status >= 400:
+                error = json.loads(result.body)["error"]
+                assert result.status != 405, (method, path, error)
+                assert not error.startswith("no such resource"), (method, path)

@@ -9,7 +9,6 @@ import pytest
 
 from repro.core import serialize
 from repro.errors import ConfigError
-from repro.obs.archive import ObsArchive
 from repro.service.jobs import JobSpec, JobState
 from repro.service.scheduler import ExperimentScheduler
 from repro.service.shards import ShardPool
@@ -266,16 +265,14 @@ class TestSerializeOnce:
         )
 
     def test_in_process_job_serializes_each_timeline_once(
-        self, store, tmp_path, monkeypatch
+        self, store, monkeypatch
     ):
-        archive = ObsArchive(tmp_path / "archive.sqlite3")
-        scheduler = make_scheduler(store, workers=1, archive=archive)
+        scheduler = make_scheduler(store, workers=1)
         calls = self.count_timeline_serializations(monkeypatch)
         job = self.run_one_job(scheduler)
         doc = store.get_result_dict(job.spec_digest)
         assert self.timelines_in(doc) == 2  # baseline + one cap
         assert len(calls) == self.timelines_in(doc)
-        assert [r["run_id"] for r in archive.runs()] == [job.id]
 
     def test_sharded_parent_serializes_nothing(
         self, store, tmp_path, monkeypatch
@@ -285,12 +282,8 @@ class TestSerializeOnce:
         # in, so only this process's calls are counted.
         pool = ShardPool(2, rate_cache=tmp_path / "rates.json")
         pool.start()
-        archive = ObsArchive(tmp_path / "archive.sqlite3")
-        scheduler = make_scheduler(
-            store, workers=1, archive=archive, shard_pool=pool
-        )
+        scheduler = make_scheduler(store, workers=1, shard_pool=pool)
         calls = self.count_timeline_serializations(monkeypatch)
         job = self.run_one_job(scheduler)
         assert self.timelines_in(store.get_result_dict(job.spec_digest)) == 2
         assert calls == []
-        assert [r["run_id"] for r in archive.runs()] == [job.id]
