@@ -18,10 +18,7 @@ Subcommands map one-to-one onto the paper's experiments:
   fleet run documents get a dedicated provenance/health block);
 - ``timeline``    — render the telemetry timelines recorded during a
   sweep or a saved fleet run (summaries, ``--ascii`` sparklines, or
-  ``--csv``);
-- ``top``         — live ASCII dashboard over a running service's
-  ``/metrics`` + ``/healthz`` (queue, workers, rate cache, stream
-  bus, fleet health, detections).
+  ``--csv``).
 
 All subcommands accept ``--scale`` to shrink the instruction budgets
 (the shape is scale-invariant; see DESIGN.md §5) and ``--seed`` for
@@ -35,10 +32,7 @@ and ``--log-json`` configure structured logging on stderr (overriding
 every engine span — plus telemetry counter tracks — and writes a Chrome
 ``trace_event`` profile on exit; ``--telemetry-period`` /
 ``--no-telemetry`` control in-run telemetry sampling (overriding
-``REPRO_TELEMETRY_PERIOD`` / ``REPRO_TELEMETRY``); ``--profile``
-samples the process with the background profiler (overriding
-``REPRO_PROFILE``; ``--profile-hz`` tunes the rate and
-``--profile-out`` writes the JSON report).
+``REPRO_TELEMETRY_PERIOD`` / ``REPRO_TELEMETRY``).
 """
 
 from __future__ import annotations
@@ -69,7 +63,6 @@ from .core.serialize import experiment_to_dict, extract_timelines
 from .errors import ReproError
 from .mem.reconfig import GatingState
 from .obs.logging import configure_logging, get_logger
-from .obs.profile import ProfileConfig, SamplingProfiler, profiling_enabled
 from .obs.provenance import render_provenance
 from .obs.timeseries import TelemetryConfig, timeline_from_dict
 from .obs.tracing import span, start_tracing, stop_tracing
@@ -157,28 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
         "marching stable segments of many runs as one numpy batch "
         "(overrides REPRO_BATCH; results are bit-identical either "
         "way — see docs/PERFORMANCE.md)",
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="sample the process with the background profiler and log "
-        "the phase/function report on exit (overrides REPRO_PROFILE; "
-        "results are bit-identical either way)",
-    )
-    parser.add_argument(
-        "--profile-hz",
-        type=float,
-        default=None,
-        metavar="HZ",
-        help="profiler sampling rate (overrides REPRO_PROFILE_HZ; "
-        "default 97)",
-    )
-    parser.add_argument(
-        "--profile-out",
-        default=None,
-        metavar="PATH",
-        help="write the profiler's JSON report to PATH (implies "
-        "--profile)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -465,35 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--ascii",
         action="store_true",
         help="render ASCII sparkline charts instead of summaries",
-    )
-
-    top = sub.add_parser(
-        "top",
-        help="live ASCII dashboard over a running service's /metrics",
-    )
-    top.add_argument(
-        "--url",
-        default="http://127.0.0.1:8080",
-        help="base URL of the experiment service",
-    )
-    top.add_argument(
-        "--interval",
-        type=float,
-        default=2.0,
-        metavar="SECONDS",
-        help="refresh period",
-    )
-    top.add_argument(
-        "--iterations",
-        type=int,
-        default=None,
-        metavar="N",
-        help="stop after N frames (default: run until interrupted)",
-    )
-    top.add_argument(
-        "--once",
-        action="store_true",
-        help="render a single frame and exit (no repaint escapes)",
     )
 
     return parser
@@ -1106,21 +1048,6 @@ def _cmd_timeline(args) -> str:
     return "\n".join(lines).rstrip()
 
 
-def _cmd_top(args) -> None:
-    """Live dashboard; writes frames itself (repaints in place)."""
-    from .obs.top import run_top
-
-    code = run_top(
-        args.url,
-        interval_s=args.interval,
-        iterations=args.iterations,
-        once=args.once,
-    )
-    if code != 0:  # pragma: no cover — run_top currently always returns 0
-        raise ReproError(f"top exited with status {code}")
-    return None
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
@@ -1150,18 +1077,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     # experiment resolves REPRO_BATCH (default on).
     args.batch = False if args.no_batch else None
     collector = start_tracing() if args.trace_out else None
-    # --profile / --profile-out force the sampler on; otherwise defer
-    # to REPRO_PROFILE.  --profile-hz beats REPRO_PROFILE_HZ.
-    profiler = None
-    if profiling_enabled(
-        True if (args.profile or args.profile_out) else None
-    ):
-        config = (
-            ProfileConfig(hz=args.profile_hz)
-            if args.profile_hz is not None
-            else ProfileConfig.from_env()
-        )
-        profiler = SamplingProfiler(config).start()
     handler = {
         "baseline": _cmd_baseline,
         "sweep": _cmd_sweep,
@@ -1175,7 +1090,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "serve": _cmd_serve,
         "inspect": _cmd_inspect,
         "timeline": _cmd_timeline,
-        "top": _cmd_top,
     }[args.command]
     try:
         with span("cli", command=args.command):
@@ -1187,19 +1101,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
-        # Stop the profiler before dumping the trace so its counter
-        # track lands in the Chrome profile.
-        if profiler is not None:
-            report = profiler.stop()
-            if args.profile_out:
-                try:
-                    with open(args.profile_out, "w") as fh:
-                        json.dump(report.to_dict(), fh, indent=2)
-                except OSError as exc:
-                    print(
-                        f"error: cannot write {args.profile_out}: {exc}",
-                        file=sys.stderr,
-                    )
         if collector is not None:
             stop_tracing()
             collector.dump(args.trace_out)

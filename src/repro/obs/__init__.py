@@ -13,8 +13,7 @@ subsystem threads through (see ``docs/OBSERVABILITY.md``):
 - :mod:`.provenance` — manifests tying a stored result to the config
   digest, workload spec, seed, code version, cache stats, and phase
   timings that produced it;
-- :mod:`.metrics` — the Prometheus exposition layer (moved here from
-  ``repro.service.metrics``, which re-exports it) plus
+- :mod:`.metrics` — the Prometheus exposition layer plus
   :func:`engine_metrics`, the simulation-core instrument panel, and
   :func:`telemetry_metrics`, the in-run telemetry panel;
 - :mod:`.timeseries` — bounded, downsampling in-run telemetry: the
@@ -27,11 +26,7 @@ subsystem threads through (see ``docs/OBSERVABILITY.md``):
 - :mod:`.stream` — the bounded pub/sub event bus behind the HTTP
   API's Server-Sent Events endpoints: telemetry samples, detections,
   job lifecycle, and fleet health, live, with drop-oldest
-  backpressure and ``Last-Event-ID`` replay;
-- :mod:`.profile` — a stdlib sampling profiler
-  (``sys._current_frames`` on a background thread) attributing wall
-  time to open spans and hot functions, with per-quantum cost
-  attribution (``--profile`` / ``REPRO_PROFILE``).
+  backpressure and ``Last-Event-ID`` replay.
 """
 
 from .detect import (
@@ -61,23 +56,14 @@ from .metrics import (
     Histogram,
     Metric,
     MetricsRegistry,
-    ProfileMetrics,
     ServiceMetrics,
     StreamMetrics,
     TelemetryMetrics,
     build_info_metrics,
     engine_metrics,
     fleet_metrics,
-    profile_metrics,
     stream_metrics,
     telemetry_metrics,
-)
-from .profile import (
-    ProfileConfig,
-    ProfileReport,
-    SamplingProfiler,
-    profile_from_env,
-    profiling_enabled,
 )
 from .provenance import (
     PROVENANCE_SCHEMA_VERSION,
@@ -117,7 +103,6 @@ from .tracing import (
     reset_phase_totals,
     set_enabled,
     span,
-    span_stacks_by_thread,
     start_tracing,
     stop_tracing,
     tracing_enabled,
@@ -136,7 +121,6 @@ __all__ = [
     "stop_tracing",
     "current_collector",
     "current_span_stack",
-    "span_stacks_by_thread",
     "phase_totals",
     "reset_phase_totals",
     "set_enabled",
@@ -155,8 +139,6 @@ __all__ = [
     "fleet_metrics",
     "StreamMetrics",
     "stream_metrics",
-    "ProfileMetrics",
-    "profile_metrics",
     "BuildInfo",
     "BuildInfoMetrics",
     "build_info_metrics",
@@ -171,11 +153,6 @@ __all__ = [
     "JOB_TOPIC_PREFIX",
     "FLEET_TOPIC",
     "TERMINAL_EVENT_KINDS",
-    "ProfileConfig",
-    "ProfileReport",
-    "SamplingProfiler",
-    "profiling_enabled",
-    "profile_from_env",
     "TIMELINE_SCHEMA_VERSION",
     "SeriesPoint",
     "SeriesChannel",

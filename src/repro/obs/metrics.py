@@ -7,13 +7,11 @@ rendered in the Prometheus text exposition format (version 0.0.4) for
 worker pool, the HTTP handler threads, and the simulation engine all
 share these registries.
 
-This module is the home of the primitives that used to live in
-:mod:`repro.service.metrics` (which now re-exports them unchanged),
-plus :class:`EngineMetrics` — a process-wide panel of *simulation
-internals* (runs, control quanta, fast-forward activations, trace
-simulations, rate-cache hits/misses, per-phase seconds) that the
-engine increments directly and the service's ``/metrics`` endpoint
-exposes alongside the queue/job series.
+This module holds those primitives plus :class:`EngineMetrics` — a
+process-wide panel of *simulation internals* (runs, control quanta,
+fast-forward activations, trace simulations, rate-cache hits/misses,
+per-phase seconds) that the engine increments directly and the
+service's ``/metrics`` endpoint exposes alongside the queue/job series.
 """
 
 from __future__ import annotations
@@ -39,8 +37,6 @@ __all__ = [
     "fleet_metrics",
     "StreamMetrics",
     "stream_metrics",
-    "ProfileMetrics",
-    "profile_metrics",
     "BuildInfo",
     "BuildInfoMetrics",
     "build_info_metrics",
@@ -560,93 +556,6 @@ def stream_metrics() -> StreamMetrics:
     return _stream_metrics
 
 
-class ProfileMetrics:
-    """Sampling-profiler instrument panel (one per process).
-
-    The profiler batches into these once per :meth:`stop` — nothing is
-    recorded per sample tick beyond its own in-memory tallies:
-
-    - ``repro_profile_samples_total`` — stack samples taken;
-    - ``repro_profile_runs_total`` — profiler start/stop sessions;
-    - ``repro_profile_quantum_cost_seconds`` — histogram of attributed
-      wall seconds per engine control quantum (phase seconds divided
-      by the quanta retired while profiling), one observation per
-      profiled phase;
-    - ``repro_profile_phase_samples`` — samples attributed to each
-      span phase in the most recent session.
-    """
-
-    def __init__(self) -> None:
-        self.registry = MetricsRegistry()
-        reg = self.registry.register
-        self.samples = reg(
-            Counter(
-                "repro_profile_samples_total",
-                "Sampling-profiler stack samples taken",
-            )
-        )
-        self.runs = reg(
-            Counter(
-                "repro_profile_runs_total",
-                "Sampling-profiler sessions completed",
-            )
-        )
-        self.quantum_cost = reg(
-            Histogram(
-                "repro_profile_quantum_cost_seconds",
-                "Attributed wall seconds per engine control quantum",
-                buckets=(1e-7, 5e-7, 1e-6, 5e-6, 1e-5, 5e-5, 1e-4,
-                         5e-4, 1e-3, 1e-2),
-            )
-        )
-        self._phases_lock = threading.Lock()
-        self._phases: Dict[str, float] = {}
-        self.phase_samples = reg(
-            Gauge(
-                "repro_profile_phase_samples",
-                "Stack samples per span phase in the latest session",
-                callback=self._phase_counts,
-                label_name="phase",
-            )
-        )
-
-    def _phase_counts(self) -> Dict[str, float]:
-        with self._phases_lock:
-            return dict(self._phases)
-
-    def observe_session(
-        self,
-        samples: int,
-        phases: Dict[str, int],
-        per_quantum_s: "Dict[str, float]",
-    ) -> None:
-        """Batch-record one finished profiling session."""
-        self.samples.inc(samples)
-        self.runs.inc()
-        with self._phases_lock:
-            self._phases = {k: float(v) for k, v in phases.items()}
-        for cost in per_quantum_s.values():
-            self.quantum_cost.observe(cost)
-
-    def render(self) -> str:
-        """Text exposition of the profiler panel."""
-        return self.registry.render()
-
-
-_profile_metrics_lock = threading.Lock()
-_profile_metrics: "ProfileMetrics | None" = None
-
-
-def profile_metrics() -> ProfileMetrics:
-    """The process-wide :class:`ProfileMetrics` singleton."""
-    global _profile_metrics
-    if _profile_metrics is None:
-        with _profile_metrics_lock:
-            if _profile_metrics is None:
-                _profile_metrics = ProfileMetrics()
-    return _profile_metrics
-
-
 class FleetMetrics:
     """Fleet-simulation instrument panel (one per process).
 
@@ -968,12 +877,11 @@ class ServiceMetrics:
             telemetry_metrics().registry,
             fleet_metrics().registry,
             stream_metrics().registry,
-            profile_metrics().registry,
         ]
 
     def render(self) -> str:
         """Text exposition: service + build-info + engine + telemetry
-        + fleet + stream + profile panels."""
+        + fleet + stream panels."""
         return self.registry.render() + "".join(
             panel.render() for panel in self._panels()
         )

@@ -46,7 +46,6 @@ __all__ = [
     "stop_tracing",
     "current_collector",
     "current_span_stack",
-    "span_stacks_by_thread",
     "phase_totals",
     "thread_phase_totals",
     "reset_phase_totals",
@@ -60,14 +59,6 @@ _phase_lock = threading.Lock()
 #: name -> [total seconds, count]
 _phase_acc: Dict[str, List[float]] = {}
 
-#: thread id -> that thread's live span-stack list (the same object
-#: ``_local.stack`` holds).  The sampling profiler reads these from its
-#: own thread; entries are shared mutable lists, so a reader only ever
-#: takes a cheap snapshot (``list(stack)``) and tolerates a concurrent
-#: push/pop — the GIL keeps list operations atomic.
-_stacks_lock = threading.Lock()
-_stacks_by_thread: Dict[int, list] = {}
-
 _collector: "TraceCollector | None" = None
 _enabled = True
 
@@ -76,20 +67,7 @@ def _stack() -> list:
     stack = getattr(_local, "stack", None)
     if stack is None:
         stack = _local.stack = []
-        with _stacks_lock:
-            _stacks_by_thread[threading.get_ident()] = stack
     return stack
-
-
-def span_stacks_by_thread() -> Dict[int, Tuple[str, ...]]:
-    """Snapshot of every thread's open span names, outermost first.
-
-    Cross-thread view for the sampling profiler; threads that never
-    opened a span are absent.
-    """
-    with _stacks_lock:
-        items = list(_stacks_by_thread.items())
-    return {tid: tuple(s.name for s in stack) for tid, stack in items}
 
 
 def current_span_stack() -> Tuple[str, ...]:

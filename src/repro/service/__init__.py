@@ -18,22 +18,15 @@ health and throughput as Prometheus metrics.
   in-memory for tests; URL-selected via :func:`open_store`);
 - :mod:`.admission` — token-bucket rate limiting and bounded-queue
   backpressure in front of every submission;
-- :mod:`.metrics` — dependency-free Prometheus exposition;
 - :mod:`.routes` — the HTTP API, apart from the transport;
 - :mod:`.asyncapi` — the asyncio HTTP front end that serves it;
 - :mod:`.api` — the :class:`ExperimentService` composition root
   (``repro-powercap serve``).
 """
 
+from ..obs.metrics import ServiceMetrics
 from .admission import Admission, AdmissionController, TokenBucket
 from .jobs import Job, JobQueue, JobSpec, JobState, caps_from_range
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    ServiceMetrics,
-)
 from .scheduler import ExperimentScheduler
 from .shards import ShardPool, ShardRing, effective_shard_count
 from .store import (
@@ -54,10 +47,6 @@ __all__ = [
     "JobSpec",
     "JobState",
     "caps_from_range",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "ServiceMetrics",
     "ExperimentScheduler",
     "ShardPool",

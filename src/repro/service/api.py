@@ -31,9 +31,9 @@ import threading
 from typing import Optional
 
 from ..obs.logging import get_logger
+from ..obs.metrics import ServiceMetrics
 from .admission import AdmissionController
 from .asyncapi import AsyncFrontEnd
-from .metrics import ServiceMetrics
 from .routes import Router
 from .scheduler import ExperimentScheduler
 from .shards import ShardPool, effective_shard_count

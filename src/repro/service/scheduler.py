@@ -29,10 +29,10 @@ import os
 from ..core.ratecache import RateCache
 from ..errors import ReproError
 from ..obs.logging import get_logger
+from ..obs.metrics import ServiceMetrics
 from ..obs.stream import JOB_TOPIC_PREFIX, event_bus, stream_context
 from ..obs.tracing import span
 from .jobs import Job, JobQueue, JobSpec, JobState, run_spec
-from .metrics import ServiceMetrics
 from .shards import ShardPool
 from .store import ResultStoreBase
 

@@ -6,10 +6,6 @@ import re
 from dataclasses import replace
 
 from repro.obs.metrics import ServiceMetrics, engine_metrics
-from repro.service.metrics import (
-    ServiceMetrics as ReExportedServiceMetrics,
-)
-from repro.service.metrics import engine_metrics as re_exported_engine_metrics
 
 
 class TestEngineMetrics:
@@ -53,10 +49,6 @@ class TestEngineMetrics:
         text = ServiceMetrics().render()
         assert "repro_jobs_submitted_total" in text
         assert "repro_engine_runs_total" in text
-
-    def test_service_module_re_exports(self):
-        assert ReExportedServiceMetrics is ServiceMetrics
-        assert re_exported_engine_metrics is engine_metrics
 
 
 class TestBuildInfo:

@@ -163,7 +163,8 @@ class TestErrors:
         )
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(req, timeout=30)
-        assert err.value.code == 405
+        with err.value:
+            assert err.value.code == 405
 
     def test_oversized_body_413(self, service):
         body = b'{"pad": "' + b"x" * (1 << 20) + b'"}'
@@ -175,7 +176,8 @@ class TestErrors:
         )
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(req, timeout=30)
-        assert err.value.code == 413
+        with err.value:
+            assert err.value.code == 413
 
     @pytest.mark.parametrize(
         "payload, status",
@@ -526,8 +528,9 @@ class TestGracefulShutdown:
             svc.admission.begin_shutdown()
             with pytest.raises(urllib.error.HTTPError) as err:
                 request_json(svc, "POST", "/jobs", SPEC)
-            assert err.value.code == 503
-            assert "Retry-After" in err.value.headers
+            with err.value:
+                assert err.value.code == 503
+                assert "Retry-After" in err.value.headers
         finally:
             svc.shutdown(drain=False)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.service.metrics import (
+from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,

@@ -144,7 +144,8 @@ class TestJobStream:
     def test_unknown_job_is_404(self, service):
         with pytest.raises(urllib.error.HTTPError) as err:
             read_stream(service, "/jobs/nope/stream")
-        assert err.value.code == 404
+        with err.value:
+            assert err.value.code == 404
 
 
 class TestFleetStream:

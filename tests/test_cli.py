@@ -163,67 +163,3 @@ class TestServeParser:
         assert args.workers == 4
         assert args.db == "x.sqlite3"
 
-
-class TestProfileFlags:
-    def test_defaults_off(self):
-        args = build_parser().parse_args(["sweep"])
-        assert args.profile is False
-        assert args.profile_hz is None
-        assert args.profile_out is None
-
-    def test_flags_parse(self):
-        args = build_parser().parse_args(
-            ["--profile", "--profile-hz", "251",
-             "--profile-out", "prof.json", "sweep"]
-        )
-        assert args.profile is True
-        assert args.profile_hz == 251.0
-        assert args.profile_out == "prof.json"
-
-    def test_profile_out_writes_report(self, tmp_path, capsys):
-        out = tmp_path / "prof.json"
-        code = main(
-            ["--scale", "0.002", "--profile-out", str(out), "baseline"]
-        )
-        capsys.readouterr()
-        assert code == 0
-        report = json.loads(out.read_text())
-        assert report["samples"] >= 0
-        assert report["hz"] == 97.0
-        assert "phase_seconds" in report
-        assert "per_quantum_s" in report
-        assert "top_functions" in report
-
-    def test_profile_hz_flows_into_report(self, tmp_path, capsys):
-        out = tmp_path / "prof.json"
-        code = main(
-            ["--scale", "0.002", "--profile-hz", "503",
-             "--profile-out", str(out), "baseline"]
-        )
-        capsys.readouterr()
-        assert code == 0
-        report = json.loads(out.read_text())
-        assert report["hz"] == 503.0
-        # Sampling a real sweep at 503 Hz lands samples, and every
-        # sample is attributed to some phase.
-        assert report["samples"] > 0
-        assert sum(report["phase_samples"].values()) == report["samples"]
-
-
-class TestTopParser:
-    def test_defaults(self):
-        args = build_parser().parse_args(["top"])
-        assert args.url == "http://127.0.0.1:8080"
-        assert args.interval == 2.0
-        assert args.iterations is None
-        assert args.once is False
-
-    def test_custom(self):
-        args = build_parser().parse_args(
-            ["top", "--url", "http://10.0.0.2:9", "--interval", "0.5",
-             "--iterations", "3", "--once"]
-        )
-        assert args.url == "http://10.0.0.2:9"
-        assert args.interval == 0.5
-        assert args.iterations == 3
-        assert args.once is True

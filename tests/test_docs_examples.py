@@ -185,6 +185,73 @@ class TestDocumentedCommands:
                     assert option in options, where
 
 
+def github_slug(heading):
+    """The anchor GitHub gives a Markdown heading.
+
+    Markup is dropped to the rendered text, which is lowercased; every
+    character but letters, digits, ``_``, ``-`` and spaces goes, and
+    spaces become hyphens.
+    """
+    text = re.sub(r"\[([^\]]*)\]\([^)]*\)", r"\1", heading)
+    text = re.sub(r"[`*]", "", text).strip().lower()
+    return re.sub(r"[^\w\- ]", "", text).replace(" ", "-")
+
+
+def heading_anchors(path):
+    """Every anchor ``path``'s headings define, duplicates suffixed."""
+    text = re.sub(r"```.*?```", "", path.read_text(), flags=re.S)
+    anchors, seen = set(), {}
+    for heading in re.findall(r"^#{1,6} +(.+?) *#*$", text, re.M):
+        slug = github_slug(heading)
+        n = seen.get(slug, 0)
+        seen[slug] = n + 1
+        anchors.add(slug if n == 0 else f"{slug}-{n}")
+    return anchors
+
+
+class TestDocReferences:
+    #: The prose docs whose links are checked (the verify skill has none).
+    PROSE = [REPO / "README.md", REPO / "DESIGN.md",
+             *sorted((REPO / "docs").glob("*.md"))]
+
+    def test_every_anchor_link_resolves(self):
+        """A renamed or removed section cannot leave a dead ``#anchor``."""
+        links = [
+            (path, target, anchor)
+            for path in self.PROSE
+            for target, anchor in re.findall(
+                r"\]\(([\w./-]*\.md)#([^)\s]+)\)", path.read_text()
+            )
+        ]
+        assert len(links) >= 10, links
+        for path, target, anchor in links:
+            where = f"{path.name} links {target}#{anchor}"
+            assert anchor in heading_anchors(path.parent / target), where
+
+    def test_every_environment_variable_exists(self):
+        """A documented ``REPRO_*`` variable is one the code still reads.
+
+        ``REPRO_LOG_*`` names a family, so a name that ends in ``_``
+        only needs some variable with that prefix.
+        """
+        code = "".join(
+            path.read_text()
+            for tree in ("src", "scripts")
+            for path in sorted((REPO / tree).rglob("*.py"))
+        )
+        documented = [
+            (path, name)
+            for path in DOCS
+            for name in sorted(
+                set(re.findall(r"REPRO_[A-Z_]+", path.read_text()))
+            )
+        ]
+        assert len({name for _, name in documented}) >= 10, documented
+        for path, name in documented:
+            end = "" if name.endswith("_") else r"\b"
+            assert re.search(rf"\b{name}{end}", code), f"{path.name} names {name}"
+
+
 class TestServeCommands:
     def test_every_documented_serve_command_parses(self):
         """A flag removed from ``serve`` cannot linger in the docs."""
