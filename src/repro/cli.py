@@ -351,10 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="N",
-        help="partitioned worker shard processes (>= 2; jobs route by "
-        "consistent hashing over the spec digest, each shard owns a "
-        "rate-cache partition; 0 = simulate in-process; single-core "
-        "hosts fall back to in-process with a warning)",
+        help="worker shard processes (>= 2; each job goes to any idle "
+        "shard, each shard keeps its own rate-cache file; 0 = simulate "
+        "in-process; single-core hosts fall back to in-process with a "
+        "warning)",
     )
     serve.add_argument(
         "--admission-rate",
@@ -741,11 +741,12 @@ def _cmd_serve(args) -> str:
     )
 
     # SIGTERM/SIGINT trigger one graceful shutdown: finish in-flight
-    # jobs, re-record still-queued ones for restart recovery, flush
-    # every rate-cache partition, and close SSE streams with a terminal event.  Shutdown joins threads and
-    # can take seconds, so it runs on a helper thread rather than in
-    # the signal handler; the loop below sees ``stopping`` and waits
-    # in ``shutdown`` until the helper has finished.
+    # jobs, re-record still-queued ones for restart recovery, flush the
+    # rate cache (each shard flushes its own file), and close SSE
+    # streams with a terminal event.  Shutdown joins threads and can
+    # take seconds, so it runs on a helper thread rather than in the
+    # signal handler; the loop below sees ``stopping`` and waits in
+    # ``shutdown`` until the helper has finished.
     def _graceful(signum, frame):  # noqa: ARG001 — signal signature
         threading.Thread(
             target=service.shutdown,

@@ -7,7 +7,9 @@ the transport: a process-wide, thread-safe publish/subscribe bus whose
 subscribers are bounded (drop-oldest backpressure with an accurate
 dropped-events counter) and whose topics keep a bounded replay history
 so an HTTP client can reconnect with ``Last-Event-ID`` and miss
-nothing that is still in the ring.
+nothing that is still in the ring.  The bus itself is bounded too: it
+keeps the :data:`MAX_TOPICS` most recently used topics, forgetting the
+oldest one that no subscriber holds.
 
 Design constraints, in order:
 
@@ -34,9 +36,9 @@ ids, so ``Last-Event-ID: 17`` resumes after event 17.
 from __future__ import annotations
 
 import threading
-from collections import deque
+from collections import OrderedDict, deque
 from contextlib import contextmanager
-from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Deque, List, NamedTuple, Optional
 
 __all__ = [
     "StreamEvent",
@@ -49,11 +51,16 @@ __all__ = [
     "stream_publish",
     "JOB_TOPIC_PREFIX",
     "FLEET_TOPIC",
+    "MAX_TOPICS",
     "TERMINAL_EVENT_KINDS",
 ]
 
 JOB_TOPIC_PREFIX = "job:"
 FLEET_TOPIC = "fleet"
+
+#: Topics the bus retains.  Every job publishes to its own topic, so
+#: without a bound a long-lived service keeps every job's history.
+MAX_TOPICS = 64
 
 #: Event kinds that end a job stream (the SSE handler closes cleanly
 #: after forwarding one of these).
@@ -170,6 +177,10 @@ class EventBus:
     client sees every retained event exactly once with no gap between
     replay and live delivery — the property the SSE ``Last-Event-ID``
     contract needs.
+
+    At most :data:`MAX_TOPICS` topics are kept: creating one more
+    forgets the least recently used topic that has no subscriber.  A
+    forgotten topic starts again from sequence id 1 if it is reused.
     """
 
     def __init__(
@@ -180,9 +191,23 @@ class EventBus:
         self._history = int(history)
         self._queue_size = int(queue_size)
         self._lock = threading.Lock()
-        self._topics: Dict[str, _Topic] = {}
+        self._topics: "OrderedDict[str, _Topic]" = OrderedDict()
         self._published = 0
         self._dropped = 0
+
+    def _topic(self, topic: str) -> _Topic:
+        """Get or create ``topic`` as the most recent (bus lock held)."""
+        state = self._topics.get(topic)
+        if state is not None:
+            self._topics.move_to_end(topic)
+            return state
+        if len(self._topics) >= MAX_TOPICS:
+            for name, old in self._topics.items():
+                if not old.subscribers:
+                    del self._topics[name]
+                    break
+        state = self._topics[topic] = _Topic(self._history)
+        return state
 
     # ------------------------------------------------------------------
     # Publishing
@@ -196,9 +221,7 @@ class EventBus:
         recent past.
         """
         with self._lock:
-            state = self._topics.get(topic)
-            if state is None:
-                state = self._topics[topic] = _Topic(self._history)
+            state = self._topic(topic)
             state.seq += 1
             event = StreamEvent(state.seq, kind, data)
             state.history.append(event)
@@ -231,9 +254,7 @@ class EventBus:
         sub = Subscription(topic, queue_size or self._queue_size)
         floor = -1 if last_event_id is None else int(last_event_id)
         with self._lock:
-            state = self._topics.get(topic)
-            if state is None:
-                state = self._topics[topic] = _Topic(self._history)
+            state = self._topic(topic)
             replay = [e for e in state.history if e.seq > floor]
             state.subscribers.append(sub)
         for event in replay:
@@ -283,7 +304,7 @@ class EventBus:
             return state.seq if state else 0
 
     def topics(self) -> List[str]:
-        """Topic names that have seen a publish or a subscribe."""
+        """Retained topic names that have seen a publish or a subscribe."""
         with self._lock:
             return sorted(self._topics)
 

@@ -12,8 +12,8 @@ health and throughput as Prometheus metrics.
   turns a spec into its result document, job lifecycle states, and
   the priority queue with retry backoff;
 - :mod:`.scheduler` — the worker pool that runs and stores each job;
-- :mod:`.shards` — partitioned worker processes routed by consistent
-  hashing over spec digests, each owning a rate-cache partition;
+- :mod:`.shards` — worker processes, each job going to any idle one,
+  each owning its own rate-cache file;
 - :mod:`.store` — the pluggable result store (SQLite default,
   in-memory for tests; URL-selected via :func:`open_store`);
 - :mod:`.admission` — token-bucket rate limiting and bounded-queue
@@ -28,7 +28,7 @@ from ..obs.metrics import ServiceMetrics
 from .admission import Admission, AdmissionController, TokenBucket
 from .jobs import Job, JobQueue, JobSpec, JobState, caps_from_range
 from .scheduler import ExperimentScheduler
-from .shards import ShardPool, ShardRing, effective_shard_count
+from .shards import ShardPool, effective_shard_count
 from .store import (
     MemoryResultStore,
     ResultStore,
@@ -50,7 +50,6 @@ __all__ = [
     "ServiceMetrics",
     "ExperimentScheduler",
     "ShardPool",
-    "ShardRing",
     "effective_shard_count",
     "MemoryResultStore",
     "ResultStore",

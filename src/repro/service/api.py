@@ -49,8 +49,9 @@ class ExperimentService:
 
     ``port=0`` binds an ephemeral port (read it back from
     :attr:`port`) — the tests and the CI smoke job rely on this.
-    ``shards >= 2`` moves simulation into partitioned worker processes
-    (falling back to in-process execution on a single-core host).
+    ``shards >= 2`` moves simulation into worker processes, each job
+    going to any idle one (falling back to in-process execution on a
+    single-core host).
     """
 
     def __init__(
@@ -74,7 +75,7 @@ class ExperimentService:
         self._stopping = threading.Event()
         self._stopped = threading.Event()
         # Shard pool (with the single-core in-process fallback).  When
-        # sharded, each shard owns its own rate-cache partition and the
+        # sharded, each shard owns its own rate-cache file and the
         # scheduler's in-process cache stays unopened.
         n_shards = effective_shard_count(shards)
         self._shard_pool: Optional[ShardPool] = (
@@ -121,7 +122,7 @@ class ExperimentService:
 
     @property
     def shard_pool(self) -> Optional[ShardPool]:
-        """The partitioned worker pool (None when unsharded)."""
+        """The shard process pool (None when unsharded)."""
         return self._shard_pool
 
     @property
@@ -176,7 +177,8 @@ class ExperimentService:
         3. the scheduler stops — with ``drain`` it finishes everything
            queued, without it queued jobs are re-recorded for restart
            recovery and only in-flight jobs are awaited — then flushes
-           the rate cache (or every shard partition, via the pool);
+           the rate cache (or every shard's own cache file, via the
+           pool);
         4. the store closes.
 
         Idempotent; safe to call from a signal-handler thread.  A call

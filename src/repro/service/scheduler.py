@@ -2,7 +2,7 @@
 
 Each worker pops the highest-priority queued job and gets its result
 document from :func:`~repro.service.jobs.run_spec`, serially in the
-worker thread, or from the spec's shard process when sharded, and
+worker thread, or from the first idle shard process when sharded, and
 stores it with ``put_result``, the document's one use on completion.
 All workers share one :class:`~repro.core.ratecache.RateCache`, so
 distinct jobs over the same (workload, geometry, gating) skip trace
@@ -118,7 +118,7 @@ class ExperimentScheduler:
 
     @property
     def shard_pool(self) -> Optional[ShardPool]:
-        """The partitioned worker pool (None when unsharded)."""
+        """The shard process pool (None when unsharded)."""
         return self._shard_pool
 
     def drain_rate(self) -> float:
@@ -330,8 +330,8 @@ class ExperimentScheduler:
 
     def _run_spec(self, spec: JobSpec) -> Dict[str, dict]:
         if self._shard_pool is not None:
-            # The owning shard returns the document it serialized.
-            return self._shard_pool.run(spec.digest(), spec.to_dict())
+            # The first idle shard returns the document it serialized.
+            return self._shard_pool.run(spec.to_dict())
         return run_spec(
             spec,
             rate_cache=self._rate_cache,

@@ -1,21 +1,19 @@
-"""Partitioned worker shards: one process per rate-cache partition.
+"""Worker shards: simulation in a pool of long-lived processes.
 
 The scheduler's thread workers are fine for orchestration — lifecycle
 transitions, store writes, retries — but the simulation itself is CPU
 bound, and Python threads serialize it behind the GIL.  This module
 moves the simulation into a pool of long-lived **shard processes**:
 
-- jobs are routed to shards by **consistent hashing over the spec
-  digest** (:class:`ShardRing`), so every spec lands on the same shard
-  for the lifetime of the pool and each shard's rate-cache partition
-  accumulates exactly the (workload, geometry, gating) rates its slice
-  of the digest space needs — no cross-shard write contention, no
-  duplicated trace simulation across restarts of the same spec;
+- a job goes to **any idle shard**: the pool keeps one queue of idle
+  shards, a job takes the first one whose process is alive (waiting
+  while all are busy) and puts it back at the end of the queue after
+  the reply.  A shard that died is never handed out again, so a job
+  that met a dying shard succeeds on its retry while any shard lives;
 - each shard owns a private :class:`~repro.core.ratecache.RateCache`
-  partition file (``<rate_cache>.shard<k>``) opened read-write in the
-  shard process only.  The parent observes partitions with
-  ``RateCache(mode="ro")`` snapshots — it can count entries and report
-  stats without ever writing another process's file;
+  file (``<rate_cache>.shard<k>``) opened read-write in the shard
+  process only.  A rate's key omits the spec's caps, scale and
+  repetitions, so every shard's file converges on the same entries;
 - a shard runs each job through the same
   :func:`~repro.service.jobs.run_spec` as the in-process path and
   returns its **result document** (``{workload name:
@@ -30,57 +28,21 @@ recorded — ``effective_shards`` is 0 and a warning is logged.
 
 from __future__ import annotations
 
-import bisect
-import hashlib
 import os
+import queue
 import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from collections import deque
+from typing import Deque, List, Optional
 
 import multiprocessing as mp
 
 from ..errors import ReproError, SimulationError
 from ..obs.logging import get_logger
 
-__all__ = ["ShardRing", "ShardPool", "effective_shard_count"]
+__all__ = ["ShardPool", "effective_shard_count"]
 
 _log = get_logger("service.shards")
-
-#: Virtual nodes per shard on the hash ring.  Enough that adding one
-#: shard moves ~1/N of the digest space, few enough that ring build
-#: stays trivial.
-_RING_REPLICAS = 64
-
-
-class ShardRing:
-    """Consistent hash ring mapping spec digests to shard indices."""
-
-    def __init__(self, shards: int, replicas: int = _RING_REPLICAS) -> None:
-        if shards < 1:
-            raise SimulationError(f"need >= 1 shard, got {shards}")
-        self.shards = int(shards)
-        points: List[Tuple[int, int]] = []
-        for shard in range(self.shards):
-            for replica in range(int(replicas)):
-                token = f"shard-{shard}-{replica}".encode()
-                digest = hashlib.blake2b(token, digest_size=8).hexdigest()
-                points.append((int(digest, 16), shard))
-        points.sort()
-        self._points = [p for p, _ in points]
-        self._owners = [s for _, s in points]
-
-    def shard_for(self, spec_digest: str) -> int:
-        """The shard owning ``spec_digest`` (a hex digest string)."""
-        key = int(
-            hashlib.blake2b(
-                spec_digest.encode(), digest_size=8
-            ).hexdigest(),
-            16,
-        )
-        idx = bisect.bisect(self._points, key)
-        if idx == len(self._points):
-            idx = 0
-        return self._owners[idx]
 
 
 def effective_shard_count(requested: int) -> int:
@@ -89,14 +51,10 @@ def effective_shard_count(requested: int) -> int:
     Process fan-out on a single-core host only adds dispatch overhead,
     so fall back to in-process execution with a logged warning, and
     never start more shards than there are CPUs.
-    ``REPRO_SHARD_FORCE=1`` overrides (tests exercise real shard
-    processes on any host).
     """
     requested = max(0, int(requested))
     if requested < 2:
         return 0
-    if os.environ.get("REPRO_SHARD_FORCE", "") == "1":
-        return requested
     cpus = os.cpu_count() or 1
     if cpus < 2:
         _log.warning(
@@ -120,8 +78,8 @@ def _shard_main(
     """One shard process: warm runner state, serve until sentinel.
 
     Imports are deferred so a ``spawn`` start method only pays them in
-    the child; the rate-cache partition is opened read-write here and
-    nowhere else.
+    the child; the shard's rate-cache file is opened read-write here
+    and nowhere else.
     """
     from ..core.ratecache import RateCache
     from .jobs import JobSpec, run_spec
@@ -171,12 +129,13 @@ def _shard_main(
 
 
 class ShardPool:
-    """N shard processes, each owning one rate-cache partition.
+    """N shard processes behind one queue of idle shards.
 
     One in-flight job per shard (a shard is a single simulation loop;
     queueing more would only hide latency from the scheduler's retry
-    accounting).  Thread-safe: scheduler workers serialize per shard
-    through the shard's lock and block on its private response queue.
+    accounting).  Thread-safe: a scheduler worker takes the first idle
+    live shard, waits while every live shard is busy, and blocks on
+    that shard's private response queue.
     """
 
     def __init__(
@@ -199,13 +158,13 @@ class ShardPool:
         self._slice_accesses = int(slice_accesses)
         self._batch = batch
         self._start_timeout_s = float(start_timeout_s)
-        self._ring = ShardRing(self.shards)
         self._procs: List[mp.Process] = []
         self._req_qs: List = []
         self._resp_qs: List = []
-        self._locks: List[threading.Lock] = []
-        self._dispatched = [0] * self.shards
-        self._stats_lock = threading.Lock()
+        #: Guards the idle queue, the busy count and the cache counters.
+        self._cond = threading.Condition()
+        self._idle: Deque[int] = deque()
+        self._busy = 0
         self.cache_hits = 0
         self.cache_misses = 0
         self._started = False
@@ -216,7 +175,7 @@ class ShardPool:
     # ------------------------------------------------------------------
 
     def partition_path(self, shard: int) -> Optional[str]:
-        """The rate-cache partition file shard ``shard`` owns."""
+        """The rate-cache file shard ``shard`` owns."""
         if self._rate_cache_base is None:
             return None
         return f"{self._rate_cache_base}.shard{shard}"
@@ -246,7 +205,7 @@ class ShardPool:
             self._procs.append(proc)
             self._req_qs.append(req_q)
             self._resp_qs.append(resp_q)
-            self._locks.append(threading.Lock())
+            self._idle.append(shard)
         self._started = True
         _log.info(
             "shard_pool_started",
@@ -257,13 +216,15 @@ class ShardPool:
     def shutdown(self, timeout: float = 30.0) -> None:
         """Drain-stop every shard: sentinel, join, terminate stragglers.
 
-        Each shard flushes its rate-cache partition before exiting, so
-        a graceful shutdown loses no memoized rates.
+        Each shard flushes its rate-cache file before exiting, so a
+        graceful shutdown loses no memoized rates.
         """
-        if not self._started or self._closed:
+        with self._cond:
+            already = not self._started or self._closed
             self._closed = True
+            self._cond.notify_all()
+        if already:
             return
-        self._closed = True
         for req_q in self._req_qs:
             try:
                 req_q.put(None)
@@ -285,42 +246,64 @@ class ShardPool:
     # Execution
     # ------------------------------------------------------------------
 
-    def shard_for(self, spec_digest: str) -> int:
-        """Which shard a digest routes to (exposed for tests/ops)."""
-        return self._ring.shard_for(spec_digest)
-
-    def run(self, spec_digest: str, spec_dict: dict) -> dict:
-        """Run one spec on its owning shard; returns the serialized doc.
+    def run(self, spec_dict: dict) -> dict:
+        """Run one spec on the first idle shard; returns its document.
 
         Raises :class:`SimulationError` for deterministic simulation
         failures (no point retrying) and :class:`RuntimeError` for
-        shard crashes (the scheduler's retry path treats those as
-        transient).
+        shard crashes and for a pool with no live shard left (the
+        scheduler's retry path treats those as transient).
         """
-        if not self._started or self._closed:
-            raise RuntimeError("shard pool is not running")
-        shard = self._ring.shard_for(spec_digest)
-        with self._locks[shard]:
+        shard = self._take()
+        reply = None
+        try:
             self._req_qs[shard].put({"spec": spec_dict})
             reply = self._await_reply(shard)
-        with self._stats_lock:
-            self._dispatched[shard] += 1
-            self.cache_hits += int(reply.get("cache_hits", 0))
-            self.cache_misses += int(reply.get("cache_misses", 0))
+        finally:
+            with self._cond:
+                self._busy -= 1
+                if self._procs[shard].is_alive():
+                    self._idle.append(shard)
+                if reply is not None:
+                    self.cache_hits += int(reply.get("cache_hits", 0))
+                    self.cache_misses += int(reply.get("cache_misses", 0))
+                self._cond.notify_all()
         if reply["ok"]:
             return reply["doc"]
         if reply.get("repro_error"):
             raise SimulationError(f"shard {shard}: {reply['error']}")
         raise RuntimeError(f"shard {shard}: {reply['error']}")
 
+    def _take(self) -> int:
+        """The first idle live shard, waiting while all live ones are busy.
+
+        Dead shards are dropped from the idle queue as they are met;
+        when none is idle and none is busy, no live shard is left.
+        """
+        with self._cond:
+            while True:
+                if not self._started or self._closed:
+                    raise RuntimeError("shard pool is not running")
+                while self._idle:
+                    shard = self._idle.popleft()
+                    if self._procs[shard].is_alive():
+                        self._busy += 1
+                        return shard
+                    _log.warning(
+                        "shard_dead",
+                        shard=shard,
+                        exitcode=self._procs[shard].exitcode,
+                    )
+                if self._busy == 0:
+                    raise RuntimeError("no live shard left in the pool")
+                self._cond.wait()
+
     def _await_reply(self, shard: int) -> dict:
         """Block for the shard's reply, noticing a dead process."""
-        import queue as _queue
-
         while True:
             try:
                 return self._resp_qs[shard].get(timeout=1.0)
-            except _queue.Empty:
+            except queue.Empty:
                 if self._closed:
                     raise RuntimeError(
                         f"shard pool shut down mid-job (shard {shard})"
@@ -330,35 +313,3 @@ class ShardPool:
                         f"shard {shard} process died "
                         f"(exitcode {self._procs[shard].exitcode})"
                     )
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-
-    def stats(self) -> dict:
-        """Dispatch counts, aggregated cache deltas, partition sizes.
-
-        Partition entry counts come from ``RateCache(mode="ro")``
-        snapshots of each shard's file — observation only, never a
-        write to another process's partition.
-        """
-        with self._stats_lock:
-            dispatched = list(self._dispatched)
-            hits, misses = self.cache_hits, self.cache_misses
-        entries: Dict[str, int] = {}
-        if self._rate_cache_base is not None:
-            from ..core.ratecache import RateCache
-
-            for shard in range(self.shards):
-                path = self.partition_path(shard)
-                try:
-                    entries[str(shard)] = len(RateCache(path, mode="ro"))
-                except (OSError, SimulationError):
-                    entries[str(shard)] = 0
-        return {
-            "shards": self.shards,
-            "dispatched": dispatched,
-            "cache_hits": hits,
-            "cache_misses": misses,
-            "partition_entries": entries,
-        }

@@ -1,10 +1,10 @@
 """The event bus behind the SSE API: semantics and backpressure.
 
 Covers: per-topic monotonic sequence ids, replay history and the
-``Last-Event-ID`` floor, the thread-local stream context, drop-oldest
-backpressure with an exact dropped counter (including under concurrent
-publishers), that a keeping-up subscriber loses nothing, and ≥ 4
-subscribers fed concurrently.
+``Last-Event-ID`` floor, the bound on retained topics, the thread-local
+stream context, drop-oldest backpressure with an exact dropped counter
+(including under concurrent publishers), that a keeping-up subscriber
+loses nothing, and ≥ 4 subscribers fed concurrently.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import pytest
 from repro.obs.stream import (
     FLEET_TOPIC,
     JOB_TOPIC_PREFIX,
+    MAX_TOPICS,
     TERMINAL_EVENT_KINDS,
     EventBus,
     StreamEvent,
@@ -102,6 +103,52 @@ class TestBusBasics:
             EventBus(history=0)
         with pytest.raises(ValueError):
             EventBus(queue_size=0)
+
+
+class TestTopicBound:
+    def test_oldest_topics_are_forgotten(self):
+        bus = EventBus()
+        names = [f"job:{k:03d}" for k in range(MAX_TOPICS + 5)]
+        for name in names:
+            bus.publish(name, "sample", {})
+        assert MAX_TOPICS == 64
+        assert bus.topics() == names[5:]
+        assert bus.last_seq(names[0]) == 0
+
+    def test_recently_published_topic_survives(self):
+        bus = EventBus()
+        bus.publish("busy", "sample", {})
+        for k in range(MAX_TOPICS - 1):
+            bus.publish(f"job:{k:03d}", "sample", {})
+        bus.publish("busy", "sample", {})
+        bus.publish("new", "sample", {})
+        assert "busy" in bus.topics()
+        assert "job:000" not in bus.topics()
+        assert bus.last_seq("busy") == 2
+
+    def test_subscribed_topic_is_never_forgotten(self):
+        bus = EventBus()
+        bus.publish("watched", "sample", {"i": 0})
+        sub = bus.subscribe("watched")
+        for k in range(2 * MAX_TOPICS):
+            bus.publish(f"job:{k:03d}", "sample", {})
+        assert "watched" in bus.topics()
+        assert len(bus.topics()) == MAX_TOPICS
+        assert bus.publish("watched", "sample", {"i": 1}) == 2
+        assert [sub.get(timeout=1.0).seq for _ in range(2)] == [1, 2]
+        bus.unsubscribe(sub)
+        for k in range(MAX_TOPICS):
+            bus.publish(f"job:new{k:03d}", "sample", {})
+        assert "watched" not in bus.topics()
+
+    def test_subscribing_creates_a_topic_under_the_bound(self):
+        bus = EventBus()
+        for k in range(MAX_TOPICS):
+            bus.publish(f"job:{k:03d}", "sample", {})
+        sub = bus.subscribe("late")
+        assert len(bus.topics()) == MAX_TOPICS
+        assert "job:000" not in bus.topics()
+        bus.unsubscribe(sub)
 
 
 class TestBackpressure:

@@ -277,9 +277,10 @@ class TestSerializeOnce:
     def test_sharded_parent_serializes_nothing(
         self, store, tmp_path, monkeypatch
     ):
-        # What ``serve --shards 2`` builds on any host with
-        # REPRO_SHARD_FORCE=1.  The pool forks before the counter goes
-        # in, so only this process's calls are counted.
+        # What ``serve --shards 2`` builds on a host with two or more
+        # CPUs; built directly, the pool starts on any host.  It forks
+        # before the counter goes in, so only this process's calls are
+        # counted.
         pool = ShardPool(2, rate_cache=tmp_path / "rates.json")
         pool.start()
         scheduler = make_scheduler(store, workers=1, shard_pool=pool)

@@ -4,9 +4,9 @@ Covers: live subscription to a running job (every event exactly once,
 ids strictly increasing, terminal close), full-history replay on a
 finished job, ``Last-Event-ID`` resume via header and query parameter,
 404 on unknown jobs, the fleet stream, the live stream/engine gauges
-on ``/metrics``, and the no-perturbation contract — the result
-document is identical whether or not anyone was subscribed while the
-job ran.
+on ``/metrics``, the no-perturbation contract — the result document is
+identical whether or not anyone was subscribed while the job ran — and
+the synthetic ``end`` frame of a job whose topic the bus forgot.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from urllib.parse import urlparse
 
 import pytest
 
-from repro.obs.stream import FLEET_TOPIC, event_bus
+from repro.obs.stream import FLEET_TOPIC, MAX_TOPICS, event_bus
 from repro.service.api import ExperimentService
 
 SPEC = {
@@ -275,3 +275,25 @@ class TestByteIdentity:
             a.pop("provenance")
             b.pop("provenance")
             assert a == b
+
+
+class TestForgottenTopic:
+    """Runs last: it pushes every earlier job's topic out of the bus."""
+
+    def test_finished_job_past_the_topic_bound_ends_cleanly(self, service):
+        # A spec no earlier test ran, so the job publishes a full stream.
+        _, job = request_json(service, "POST", "/jobs", {**SPEC, "seed": 99})
+        for _ in range(1200):
+            _, current = request_json(service, "GET", f"/jobs/{job['id']}")
+            if current["state"] == "done":
+                break
+            time.sleep(0.05)
+        assert current["state"] == "done"
+        assert not current["deduplicated"]
+        bus = event_bus()
+        for k in range(MAX_TOPICS):
+            bus.publish(f"job:forget-{k}", "sample", {})
+        frames = parse_sse(read_stream(service, f"/jobs/{job['id']}/stream"))
+        assert frames == [
+            {"id": None, "event": "end", "data": {"state": "done"}}
+        ]
