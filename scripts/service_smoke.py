@@ -2,9 +2,10 @@
 """CI smoke test for the experiment service.
 
 Boots the service on an ephemeral port with a throwaway SQLite store,
-submits a tiny sweep over HTTP, polls the job to DONE, and asserts
-that ``/healthz`` answers and ``/metrics`` exposes the queue/state/
-cache counters.  Then it shuts the service down, boots a second one on
+submits a tiny sweep over HTTP, polls the job to DONE, POSTs a fresh
+spec twice back to back and checks that the pair ran one sweep, and
+asserts that ``/healthz`` answers and ``/metrics`` exposes the queue/
+state/cache counters.  Then it shuts the service down, boots a second one on
 the same database, and checks that the job, its result bytes and the
 store hit for its spec survived the restart.  Exits non-zero on any
 failure; prints a one-line summary per step so CI logs read as a
@@ -33,6 +34,8 @@ SPEC = {
     "repetitions": 1,
     "scale": 0.001,
 }
+#: A spec no other step submits, POSTed twice back to back.
+TWIN_SPEC = {**SPEC, "seed": 7}
 TIMEOUT_S = 300.0
 
 REQUIRED_METRICS = (
@@ -42,6 +45,7 @@ REQUIRED_METRICS = (
     "repro_rate_cache_hits_total",
     "repro_rate_cache_misses_total",
     "repro_jobs_submitted_total",
+    "repro_jobs_coalesced_total",
     "repro_sweep_wall_seconds_count",
     # Engine-level series bridged in from repro.obs.metrics.
     "repro_engine_runs_total",
@@ -64,6 +68,22 @@ def http(method: str, url: str, body: dict | None = None):
     )
     with urllib.request.urlopen(req, timeout=30) as resp:
         return resp.read()
+
+
+def wait_terminal(service: ExperimentService, job: dict) -> dict:
+    deadline = time.monotonic() + TIMEOUT_S
+    while job["state"] not in ("done", "failed", "cancelled"):
+        assert time.monotonic() < deadline, f"job did not finish: {job}"
+        time.sleep(0.2)
+        job = json.loads(http("GET", f"{service.url}/jobs/{job['id']}"))
+    return job
+
+
+def engine_runs(service: ExperimentService) -> float:
+    for line in http("GET", service.url + "/metrics").decode().splitlines():
+        if line.startswith("repro_engine_runs_total "):
+            return float(line.split()[1])
+    raise AssertionError("missing metric: repro_engine_runs_total")
 
 
 def boot(tmp: Path) -> ExperimentService:
@@ -89,12 +109,7 @@ def run_smoke() -> None:
         job = json.loads(http("POST", service.url + "/jobs", SPEC))
         print(f"[smoke] submitted job {job['id']} state={job['state']}")
 
-        deadline = time.monotonic() + TIMEOUT_S
-        while time.monotonic() < deadline:
-            job = json.loads(http("GET", f"{service.url}/jobs/{job['id']}"))
-            if job["state"] in ("done", "failed"):
-                break
-            time.sleep(0.2)
+        job = wait_terminal(service, job)
         assert job["state"] == "done", f"job did not finish: {job}"
         print(f"[smoke] job done after {job['attempts']} attempt(s)")
 
@@ -106,6 +121,29 @@ def run_smoke() -> None:
         twin = json.loads(http("POST", service.url + "/jobs", SPEC))
         assert twin["state"] == "done" and twin["deduplicated"], twin
         print("[smoke] identical resubmission was a store hit")
+
+        runs0 = engine_runs(service)
+        pair = [
+            json.loads(http("POST", service.url + "/jobs", TWIN_SPEC))
+            for _ in range(2)
+        ]
+        pair = [wait_terminal(service, twin) for twin in pair]
+        assert [t["state"] for t in pair] == ["done", "done"], pair
+        results = [
+            json.dumps(
+                json.loads(
+                    http("GET", f"{service.url}/jobs/{t['id']}/result")
+                )["results"],
+                sort_keys=True,
+            )
+            for t in pair
+        ]
+        assert results[0] == results[1], "twins returned different results"
+        sweep_runs = (len(TWIN_SPEC["caps_w"]) + 1) * TWIN_SPEC["repetitions"]
+        runs = engine_runs(service) - runs0
+        assert runs == sweep_runs, f"twins ran {runs:g} runs, not {sweep_runs}"
+        print(f"[smoke] twins POSTed back to back: both done, identical "
+              f"results, {runs:g} engine runs (one sweep)")
 
         metrics = http("GET", service.url + "/metrics").decode()
         for name in REQUIRED_METRICS:

@@ -777,6 +777,12 @@ class ServiceMetrics:
                 "re-simulation",
             )
         )
+        self.jobs_coalesced = reg(
+            Counter(
+                "repro_jobs_coalesced_total",
+                "Jobs answered by a queued or running twin's execution",
+            )
+        )
         self.sweep_seconds = reg(
             Histogram(
                 "repro_sweep_wall_seconds",

@@ -11,7 +11,8 @@ health and throughput as Prometheus metrics.
 - :mod:`.jobs` — the frozen :class:`JobSpec`, the one function that
   turns a spec into its result document, job lifecycle states, and
   the priority queue with retry backoff;
-- :mod:`.scheduler` — the worker pool that runs and stores each job;
+- :mod:`.scheduler` — the worker pool that runs and stores each job,
+  executing each spec digest at most once at a time;
 - :mod:`.shards` — worker processes, each job going to any idle one,
   each owning its own rate-cache file;
 - :mod:`.store` — the pluggable result store (SQLite default,

@@ -235,7 +235,8 @@ class Job:
     created_at: float = field(default_factory=time.time)
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
-    #: True when the result came from the store, not a fresh sweep.
+    #: True when the result came from the store or from a twin's
+    #: execution, not from this job's own sweep.
     deduplicated: bool = False
 
     @property

@@ -13,18 +13,21 @@ re-queues the job with exponential backoff while attempts remain, and
 moves it to FAILED once the retry budget is spent.  ``shutdown`` can
 drain (finish everything queued) or stop after in-flight jobs.
 
-Dedup: submission and execution both consult the result store by spec
-digest — an identical spec is answered from SQLite, never re-simulated.
+Single flight: a job's result depends only on its spec digest, so each
+digest is executed at most once at a time.  Admission puts every job
+in one of three places: a digest already queued or running makes it a
+*follower* of that execution's *leader* (QUEUED, holding no queue
+slot, settled with the leader's outcome); a stored digest makes it
+DONE at once; otherwise it leads and is queued.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from collections import deque
 from typing import Callable, Dict, List, Optional
-
-import os
 
 from ..core.ratecache import RateCache
 from ..errors import ReproError
@@ -69,6 +72,10 @@ class ExperimentScheduler:
         self._slice_accesses = int(slice_accesses)
         self._batch = batch
         self._jobs: Dict[str, Job] = {}
+        #: The in-flight registry: spec digest -> {job id: job}, the
+        #: leader (queued or running) first, then its followers oldest
+        #: first.  A digest leaves only once its leader is terminal.
+        self._flights: Dict[str, Dict[str, Job]] = {}
         self._lock = threading.RLock()
         self._threads: List[threading.Thread] = []
         self._running = 0
@@ -178,7 +185,8 @@ class ExperimentScheduler:
         """Accept one sweep request; returns its lifecycle record.
 
         If the result store already holds this spec's digest the job is
-        born DONE (``deduplicated=True``) and never touches the queue.
+        born DONE (``deduplicated=True``) and never touches the queue;
+        if a twin is queued or running, the job follows it.
         """
         job = Job(
             spec=spec,
@@ -186,15 +194,7 @@ class ExperimentScheduler:
             max_attempts=max_attempts or self._max_attempts,
         )
         self.metrics.jobs_submitted.inc()
-        if self._store.has_result(job.spec_digest):
-            job.state = JobState.DONE
-            job.deduplicated = True
-            job.finished_at = time.time()
-            self.metrics.dedup_hits.inc()
-            self.metrics.jobs_completed.inc()
-        with self._lock:
-            self._jobs[job.id] = job
-        self._store.record_job(job)
+        leads = self._admit(job)
         _log.info(
             "job_submitted",
             job_id=job.id,
@@ -203,19 +203,64 @@ class ExperimentScheduler:
             priority=job.priority,
             deduplicated=job.deduplicated,
         )
-        if job.state is JobState.QUEUED:
+        if leads:
             self._queue.push(job)
         return job
 
+    def _admit(self, job: Job) -> bool:
+        """Register a QUEUED job; True when it leads and must be queued.
+
+        The registry and store checks share the lock a leader takes to
+        leave the registry, which it does only after its result
+        commits, so a twin finds one or the other.  A follower is
+        recorded under that lock too: its leader settles it only after
+        taking the lock, so this QUEUED record never lands last.
+        """
+        digest = job.spec_digest
+        with self._lock:
+            self._jobs[job.id] = job
+            flight = self._flights.get(digest)
+            if flight is not None:
+                flight[job.id] = job
+                self._store.record_job(job)
+                return False
+            if self._store.has_result(digest):
+                job.deduplicated = True
+                job.finished_at = time.time()
+                job.state = JobState.DONE
+                self.metrics.dedup_hits.inc()
+                self.metrics.jobs_completed.inc()
+            else:
+                self._flights[digest] = {job.id: job}
+        self._store.record_job(job)
+        return job.state is JobState.QUEUED
+
     def cancel(self, job_id: str) -> bool:
-        """Cancel a QUEUED job; False if unknown or already beyond QUEUED."""
+        """Cancel a QUEUED job; False if unknown or already beyond QUEUED.
+
+        A cancelled leader hands its flight to its oldest follower,
+        which is queued at its own priority.  A follower already being
+        settled by its finished leader is beyond cancelling.
+        """
+        promoted = None
         with self._lock:
             job = self._jobs.get(job_id)
             if job is None or job.state is not JobState.QUEUED:
                 return False
-            job.state = JobState.CANCELLED
+            flight = self._flights.get(job.spec_digest)
+            if flight is None or job.id not in flight:
+                return False
+            led = next(iter(flight)) == job.id
+            del flight[job.id]
+            if not flight:
+                del self._flights[job.spec_digest]
+            elif led:
+                promoted = next(iter(flight.values()))
             job.finished_at = time.time()
+            job.state = JobState.CANCELLED
         self._store.record_job(job)
+        if promoted is not None:
+            self._queue.push(promoted)
         event_bus().publish(
             JOB_TOPIC_PREFIX + job.id,
             "job_cancelled",
@@ -224,16 +269,15 @@ class ExperimentScheduler:
         return True
 
     def recover(self) -> int:
-        """Re-queue jobs a previous process left QUEUED/RUNNING."""
+        """Re-admit jobs a previous process left QUEUED/RUNNING."""
         recovered = 0
         for job in self._store.pending_jobs():
             with self._lock:
                 if job.id in self._jobs:
                     continue
                 job.state = JobState.QUEUED
-                self._jobs[job.id] = job
-            self._store.record_job(job)
-            self._queue.push(job)
+                if self._admit(job):
+                    self._queue.push(job)
             recovered += 1
         if recovered:
             _log.info("jobs_recovered", count=recovered)
@@ -320,6 +364,12 @@ class ExperimentScheduler:
                     return
                 continue
             with self._lock:
+                # A cancel can land between the pop and here.
+                if job.state is not JobState.QUEUED:
+                    continue
+                job.started_at = time.time()
+                job.attempts += 1
+                job.state = JobState.RUNNING
                 self._running += 1
             try:
                 self._run_job(job)
@@ -340,9 +390,7 @@ class ExperimentScheduler:
         )
 
     def _run_job(self, job: Job) -> None:
-        job.state = JobState.RUNNING
-        job.started_at = time.time()
-        job.attempts += 1
+        """One attempt of a leader; settles its followers when terminal."""
         self._store.record_job(job)
         _log.info(
             "job_started",
@@ -361,48 +409,23 @@ class ExperimentScheduler:
             },
         )
         t0 = time.perf_counter()
+        error = None
         try:
-            # A duplicate that queued before its twin finished can be
-            # answered from the store the moment it reaches a worker.
-            if self._store.has_result(job.spec_digest):
-                job.deduplicated = True
-                self.metrics.dedup_hits.inc()
-            else:
-                with span("job", job_id=job.id, workload=job.spec.workload):
-                    # The stream context routes the sampler's bucket
-                    # flushes and the phenomenon detectors into this
-                    # job's topic for the SSE endpoint.
-                    with stream_context(topic):
-                        doc = self._run_spec(job.spec)
-                self._store.put_result(job.spec_digest, doc)
-            job.state = JobState.DONE
-            job.error = None
-            job.finished_at = time.time()
-            with self._lock:
-                self._completions.append(time.monotonic())
-            self.metrics.jobs_completed.inc()
-            self.metrics.sweep_seconds.observe(time.perf_counter() - t0)
-            _log.info(
-                "job_done",
-                job_id=job.id,
-                deduplicated=job.deduplicated,
-                wall_s=round(time.perf_counter() - t0, 6),
-            )
-            event_bus().publish(
-                topic,
-                "job_done",
-                {
-                    "job_id": job.id,
-                    "deduplicated": job.deduplicated,
-                    "wall_s": round(time.perf_counter() - t0, 6),
-                },
-            )
+            with span("job", job_id=job.id, workload=job.spec.workload):
+                # The stream context routes the sampler's bucket
+                # flushes and the phenomenon detectors into this job's
+                # topic for the SSE endpoint.
+                with stream_context(topic):
+                    doc = self._run_spec(job.spec)
+            self._store.put_result(job.spec_digest, doc)
         except Exception as exc:  # noqa: BLE001 — worker crash containment
-            job.error = f"{type(exc).__name__}: {exc}"
+            error = f"{type(exc).__name__}: {exc}"
             if job.attempts < job.max_attempts and not isinstance(
                 exc, ReproError
             ):
-                # Transient crash: exponential backoff, back of the line.
+                # Transient crash: exponential backoff, back of the line;
+                # the followers stay attached.
+                job.error = error
                 job.state = JobState.QUEUED
                 self.metrics.job_retries.inc()
                 self._store.record_job(job)
@@ -428,24 +451,64 @@ class ExperimentScheduler:
                     delay_s=self._retry_backoff_s * 2 ** (job.attempts - 1),
                 )
                 return
-            job.state = JobState.FAILED
-            job.finished_at = time.time()
-            with self._lock:
-                self._completions.append(time.monotonic())
-            self.metrics.jobs_failed.inc()
-            _log.error(
-                "job_failed",
-                job_id=job.id,
-                attempts=job.attempts,
-                error=job.error,
-            )
-            event_bus().publish(
-                topic,
-                "job_failed",
-                {
-                    "job_id": job.id,
-                    "attempts": job.attempts,
-                    "error": job.error,
-                },
-            )
-        self._store.record_job(job)
+        self._settle(job, error, round(time.perf_counter() - t0, 6))
+
+    def _settle(
+        self, leader: Job, error: Optional[str], wall_s: float
+    ) -> None:
+        """End a leader's flight: DONE without ``error``, else FAILED.
+
+        Its followers take the same outcome, a DONE one as
+        ``deduplicated``.  Each job's ``state`` is assigned last, so a
+        poll never sees a terminal job without its ``finished_at``.
+        """
+        with self._lock:
+            jobs = list(self._flights.pop(leader.spec_digest).values())
+            self._completions.append(time.monotonic())
+        finished_at = time.time()
+        for job in jobs:
+            job.error = error
+            job.finished_at = finished_at
+            job.deduplicated = error is None and job is not leader
+            job.state = JobState.DONE if error is None else JobState.FAILED
+        if error is None:
+            self.metrics.sweep_seconds.observe(wall_s)
+        for job in jobs:
+            self._store.record_job(job)
+            topic = JOB_TOPIC_PREFIX + job.id
+            if error is None:
+                self.metrics.jobs_completed.inc()
+                if job.deduplicated:
+                    self.metrics.jobs_coalesced.inc()
+                _log.info(
+                    "job_done",
+                    job_id=job.id,
+                    deduplicated=job.deduplicated,
+                    wall_s=wall_s,
+                )
+                event_bus().publish(
+                    topic,
+                    "job_done",
+                    {
+                        "job_id": job.id,
+                        "deduplicated": job.deduplicated,
+                        "wall_s": wall_s,
+                    },
+                )
+            else:
+                self.metrics.jobs_failed.inc()
+                _log.error(
+                    "job_failed",
+                    job_id=job.id,
+                    attempts=job.attempts,
+                    error=error,
+                )
+                event_bus().publish(
+                    topic,
+                    "job_failed",
+                    {
+                        "job_id": job.id,
+                        "attempts": job.attempts,
+                        "error": error,
+                    },
+                )

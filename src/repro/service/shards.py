@@ -68,7 +68,6 @@ def effective_shard_count(requested: int) -> int:
 
 
 def _shard_main(
-    shard_id: int,
     req_q,
     resp_q,
     rate_cache_path: Optional[str],
@@ -92,7 +91,6 @@ def _shard_main(
         msg = req_q.get()
         if msg is None:
             break
-        t0 = time.perf_counter()
         try:
             doc = run_spec(
                 JobSpec.from_dict(msg["spec"]),
@@ -109,7 +107,6 @@ def _shard_main(
                 {
                     "ok": True,
                     "doc": doc,
-                    "wall_s": time.perf_counter() - t0,
                     "cache_hits": hits - hits0,
                     "cache_misses": misses - misses0,
                 }
@@ -121,7 +118,6 @@ def _shard_main(
                     "ok": False,
                     "error": f"{type(exc).__name__}: {exc}",
                     "repro_error": isinstance(exc, ReproError),
-                    "wall_s": time.perf_counter() - t0,
                 }
             )
     if cache is not None:
@@ -144,7 +140,6 @@ class ShardPool:
         rate_cache: "str | os.PathLike | None" = None,
         slice_accesses: int = 320_000,
         batch: "bool | None" = None,
-        start_timeout_s: float = 60.0,
     ) -> None:
         if shards < 2:
             raise SimulationError(
@@ -157,7 +152,6 @@ class ShardPool:
         )
         self._slice_accesses = int(slice_accesses)
         self._batch = batch
-        self._start_timeout_s = float(start_timeout_s)
         self._procs: List[mp.Process] = []
         self._req_qs: List = []
         self._resp_qs: List = []
@@ -192,7 +186,6 @@ class ShardPool:
                 target=_shard_main,
                 name=f"repro-shard-{shard}",
                 args=(
-                    shard,
                     req_q,
                     resp_q,
                     self.partition_path(shard),

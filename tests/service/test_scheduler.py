@@ -1,7 +1,8 @@
-"""Scheduler: worker pool, retries with backoff, dedup, drain."""
+"""Scheduler: worker pool, retries, dedup, single flight, drain."""
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -9,7 +10,8 @@ import pytest
 
 from repro.core import serialize
 from repro.errors import ConfigError
-from repro.service.jobs import JobSpec, JobState
+from repro.obs.metrics import engine_metrics
+from repro.service.jobs import Job, JobSpec, JobState
 from repro.service.scheduler import ExperimentScheduler
 from repro.service.shards import ShardPool
 from repro.service.store import ResultStore
@@ -47,6 +49,13 @@ def fake_run(scheduler, delay_s=0.0, fail_times=0):
 
     scheduler._run_spec = _run
     return calls
+
+
+def wait_for(predicate, timeout_s=10.0):
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not met in time"
+        time.sleep(0.002)
 
 
 class TestLifecycle:
@@ -102,9 +111,9 @@ class TestDedup:
         assert calls["n"] == 1
         assert scheduler.metrics.dedup_hits.value == 1
 
-    def test_worker_rechecks_store_at_run_time(self, store):
-        # A duplicate queued while its twin is still running must not
-        # re-simulate once the twin's result lands.
+    def test_twin_queued_behind_its_leader_coalesces(self, store):
+        # A duplicate queued while its twin is still queued follows it
+        # and is not simulated again.
         scheduler = make_scheduler(store, workers=1)
         calls = fake_run(scheduler, delay_s=0.2)
         a = scheduler.submit(JobSpec(**TINY))
@@ -116,6 +125,204 @@ class TestDedup:
         assert b.state is JobState.DONE
         assert calls["n"] == 1
         assert b.deduplicated
+
+
+class TestSingleFlight:
+    """One execution per digest: a twin follows the queued or running one."""
+
+    def test_twins_submitted_while_the_leader_runs_execute_once(self, store):
+        scheduler = make_scheduler(store, workers=2)
+        calls = fake_run(scheduler, delay_s=0.2)
+        scheduler.start()
+        leader = scheduler.submit(JobSpec(**TINY))
+        wait_for(lambda: leader.state is JobState.RUNNING)
+        twins = [scheduler.submit(JobSpec(**TINY)) for _ in range(3)]
+        # Followers show QUEUED and hold no queue slot.
+        assert [t.state for t in twins] == [JobState.QUEUED] * 3
+        assert scheduler.queue_depth() == 0
+        assert scheduler.drain(timeout=30)
+        scheduler.shutdown(drain=False)
+        assert calls["n"] == 1
+        assert leader.state is JobState.DONE and not leader.deduplicated
+        for twin in twins:
+            assert twin.state is JobState.DONE and twin.deduplicated
+            assert twin.attempts == 0 and twin.started_at is None
+            assert store.get_job(twin.id).state is JobState.DONE
+        assert scheduler.metrics.jobs_coalesced.value == 3
+        assert scheduler.metrics.dedup_hits.value == 0
+        assert scheduler.metrics.jobs_completed.value == 4
+
+    def test_followers_wait_through_a_retry(self, store):
+        scheduler = make_scheduler(store, workers=2, retry_backoff_s=0.2)
+        calls = fake_run(scheduler, fail_times=1)
+        leader = scheduler.submit(JobSpec(**TINY))
+        follower = scheduler.submit(JobSpec(**TINY))
+        scheduler.start()
+        wait_for(
+            lambda: leader.attempts == 1 and leader.state is JobState.QUEUED
+        )
+        assert follower.state is JobState.QUEUED
+        assert scheduler.drain(timeout=30)
+        scheduler.shutdown(drain=False)
+        assert calls["n"] == 2
+        assert leader.state is JobState.DONE and leader.attempts == 2
+        assert follower.state is JobState.DONE and follower.deduplicated
+
+    def test_followers_fail_with_their_leader(self, store):
+        scheduler = make_scheduler(store, workers=2, max_attempts=2)
+        calls = fake_run(scheduler, fail_times=99)
+        leader = scheduler.submit(JobSpec(**TINY))
+        follower = scheduler.submit(JobSpec(**TINY))
+        scheduler.start()
+        assert scheduler.drain(timeout=30)
+        scheduler.shutdown(drain=False)
+        assert calls["n"] == 2  # the leader's two attempts, nothing more
+        assert leader.state is JobState.FAILED
+        assert follower.state is JobState.FAILED
+        assert follower.error == leader.error == (
+            "RuntimeError: injected crash #2"
+        )
+        assert follower.attempts == 0 and not follower.deduplicated
+        assert store.get_job(follower.id).state is JobState.FAILED
+        assert scheduler.metrics.jobs_failed.value == 2
+
+    def test_cancelled_leader_hands_its_flight_to_a_follower(self, store):
+        scheduler = make_scheduler(store, workers=1)
+        calls = fake_run(scheduler)
+        other = scheduler.submit(
+            JobSpec(caps_w=(140.0,), repetitions=1, scale=0.001), priority=1
+        )
+        leader = scheduler.submit(JobSpec(**TINY))
+        follower = scheduler.submit(JobSpec(**TINY), priority=2)
+        assert scheduler.queue_depth() == 2
+        assert scheduler.cancel(leader.id)
+        assert leader.state is JobState.CANCELLED
+        assert follower.state is JobState.QUEUED
+        assert scheduler.queue_depth() == 2
+        scheduler.start()
+        assert scheduler.drain(timeout=30)
+        scheduler.shutdown(drain=False)
+        assert calls["n"] == 2
+        assert follower.state is JobState.DONE and not follower.deduplicated
+        # Queued at its own priority, ahead of the priority-1 job.
+        assert follower.started_at < other.started_at
+
+    def test_cancelled_follower_leaves_its_leader_alone(self, store):
+        scheduler = make_scheduler(store, workers=2)
+        calls = fake_run(scheduler, delay_s=0.2)
+        scheduler.start()
+        leader = scheduler.submit(JobSpec(**TINY))
+        wait_for(lambda: leader.state is JobState.RUNNING)
+        cancelled = scheduler.submit(JobSpec(**TINY))
+        kept = scheduler.submit(JobSpec(**TINY))
+        assert scheduler.cancel(cancelled.id)
+        assert scheduler.drain(timeout=30)
+        scheduler.shutdown(drain=False)
+        assert calls["n"] == 1
+        assert leader.state is JobState.DONE
+        assert cancelled.state is JobState.CANCELLED
+        assert store.get_job(cancelled.id).state is JobState.CANCELLED
+        assert kept.state is JobState.DONE and kept.deduplicated
+
+    def test_submit_from_inside_put_result_follows(self, store):
+        scheduler = make_scheduler(store, workers=2)
+        calls = fake_run(scheduler)
+        real_put = store.put_result
+        twins = []
+
+        def put_result(digest, doc):
+            if not twins:
+                # Before the commit; the idle worker gets time to take
+                # the twin if it were queued.
+                twins.append(scheduler.submit(JobSpec(**TINY)))
+                time.sleep(0.1)
+            real_put(digest, doc)
+
+        store.put_result = put_result
+        scheduler.start()
+        leader = scheduler.submit(JobSpec(**TINY))
+        assert scheduler.drain(timeout=30)
+        scheduler.shutdown(drain=False)
+        assert calls["n"] == 1
+        assert leader.state is JobState.DONE
+        assert twins[0].state is JobState.DONE and twins[0].deduplicated
+
+    def test_identical_specs_run_the_engine_once(self, store, tmp_path):
+        scheduler = make_scheduler(
+            store, workers=2, rate_cache=tmp_path / "rates.json"
+        )
+        spec = JobSpec(caps_w=(150.0, 140.0), repetitions=2, scale=0.001)
+        runs = engine_metrics().runs
+        before = runs.value
+        jobs = [scheduler.submit(spec) for _ in range(4)]
+        scheduler.start()
+        assert scheduler.drain(timeout=120)
+        scheduler.shutdown(drain=False)
+        assert [j.state for j in jobs] == [JobState.DONE] * 4
+        assert runs.value - before == (len(spec.caps_w) + 1) * 2
+
+    def test_sharded_twins_dispatch_once(self, store, tmp_path):
+        # Built directly, the pool starts on any host.
+        pool = ShardPool(2, rate_cache=tmp_path / "rates.json")
+        pool.start()
+        dispatched = []
+        real_run = pool.run
+
+        def run(spec_dict):
+            dispatched.append(spec_dict)
+            return real_run(spec_dict)
+
+        pool.run = run
+        scheduler = make_scheduler(store, workers=2, shard_pool=pool)
+        scheduler.start()
+        jobs = [scheduler.submit(JobSpec(**TINY)) for _ in range(2)]
+        assert scheduler.drain(timeout=120)
+        scheduler.shutdown(drain=False)
+        assert len(dispatched) == 1
+        assert [j.state for j in jobs] == [JobState.DONE] * 2
+        assert jobs[1].deduplicated
+
+
+class TestTerminalStateLast:
+    def test_terminal_state_lands_with_its_finished_at(
+        self, store, monkeypatch
+    ):
+        # Snapshot each job at every assignment of a terminal state, as
+        # a poll from another thread could see it.
+        snapshots = []
+
+        def recording_setattr(job, name, value):
+            transition = name == "state" and "state" in job.__dict__
+            object.__setattr__(job, name, value)
+            if transition and value.is_terminal:
+                snapshots.append(job.to_dict())
+
+        monkeypatch.setattr(Job, "__setattr__", recording_setattr)
+        good = JobSpec(**TINY)
+        bad = JobSpec(caps_w=(140.0,), repetitions=1, scale=0.001)
+
+        def run(spec):
+            time.sleep(0.05)
+            if spec == bad:
+                raise RuntimeError("injected crash")
+            return as_doc({"StereoMatching": make_result()})
+
+        scheduler = make_scheduler(store, workers=2, max_attempts=1)
+        scheduler._run_spec = run
+        assert scheduler.cancel(scheduler.submit(good).id)
+        for spec in (good, good, bad, bad):
+            scheduler.submit(spec)
+        scheduler.start()
+        assert scheduler.drain(timeout=30)
+        scheduler.submit(good)  # a store hit
+        scheduler.shutdown(drain=False)
+        assert sorted(s["state"] for s in snapshots) == [
+            "cancelled", "done", "done", "done", "failed", "failed"
+        ]
+        for snap in snapshots:
+            assert snap["finished_at"] is not None, snap
+            assert (snap["error"] is not None) == (snap["state"] == "failed")
+        assert sum(s["deduplicated"] for s in snapshots) == 2
 
 
 class TestRetries:
@@ -195,12 +402,43 @@ class TestRecovery:
         second.shutdown(drain=False)
         assert store.get_job(job.id).state is JobState.DONE
 
+    def test_recovered_twins_execute_once(self, store):
+        for _ in range(2):
+            store.record_job(Job(spec=JobSpec(**TINY)))
+        scheduler = make_scheduler(store, workers=2)
+        calls = fake_run(scheduler, delay_s=0.1)
+        assert scheduler.recover() == 2
+        assert scheduler.queue_depth() == 1
+        scheduler.start()
+        assert scheduler.drain(timeout=30)
+        scheduler.shutdown(drain=False)
+        assert calls["n"] == 1
+        jobs = scheduler.jobs()
+        assert [j.state for j in jobs] == [JobState.DONE] * 2
+        assert sorted(j.deduplicated for j in jobs) == [False, True]
+        assert store.pending_jobs() == []
+
+    def test_recovered_job_with_a_stored_result_is_done_at_once(self, store):
+        spec = JobSpec(**TINY)
+        store.put_result(
+            spec.digest(), as_doc({"StereoMatching": make_result()})
+        )
+        store.record_job(Job(spec=spec))
+        scheduler = make_scheduler(store)  # never started
+        calls = fake_run(scheduler)
+        assert scheduler.recover() == 1
+        [job] = scheduler.jobs()
+        assert job.state is JobState.DONE and job.deduplicated
+        assert job.finished_at is not None
+        assert scheduler.queue_depth() == 0
+        assert store.get_job(job.id).state is JobState.DONE
+        assert calls["n"] == 0
+
 
 class TestConcurrentLoad:
     def test_50_concurrent_submissions_drain_without_loss(self, store):
         scheduler = make_scheduler(store, workers=4)
-        fake_run(scheduler, delay_s=0.01)
-        scheduler.start()
+        calls = fake_run(scheduler, delay_s=0.01)
         jobs = []
         jobs_lock = threading.Lock()
 
@@ -218,17 +456,25 @@ class TestConcurrentLoad:
         threads = [
             threading.Thread(target=submit_batch, args=(k,)) for k in range(5)
         ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(jobs) == 50
-        assert scheduler.drain(timeout=60), "queue failed to drain"
+        switch_s = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        try:
+            scheduler.start()
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            assert len(jobs) == 50
+            assert scheduler.drain(timeout=60), "queue failed to drain"
+        finally:
+            sys.setswitchinterval(switch_s)
         scheduler.shutdown(drain=False)
         states = [j.state for j in jobs]
         assert all(s is JobState.DONE for s in states), states
         assert scheduler.metrics.jobs_completed.value == 50
-        # Every distinct digest landed exactly one stored result.
+        # Every distinct digest ran once and landed one stored result.
+        assert calls["n"] == 8
         assert store.result_count() == 8
 
 
