@@ -5,7 +5,7 @@ Boots the service on an ephemeral port with a throwaway SQLite store,
 submits a tiny sweep over HTTP, polls the job to DONE, POSTs a fresh
 spec twice back to back and checks that the pair ran one sweep, and
 asserts that ``/healthz`` answers and ``/metrics`` exposes the queue/
-state/cache counters.  Then it shuts the service down, boots a second one on
+state/cache counters and every group of the process-wide registry.  Then it shuts the service down, boots a second one on
 the same database, and checks that the job, its result bytes and the
 store hit for its spec survived the restart.  Exits non-zero on any
 failure; prints a one-line summary per step so CI logs read as a
@@ -47,7 +47,8 @@ REQUIRED_METRICS = (
     "repro_jobs_submitted_total",
     "repro_jobs_coalesced_total",
     "repro_sweep_wall_seconds_count",
-    # Engine-level series bridged in from repro.obs.metrics.
+    # The process-wide registry: build info, engine, telemetry, stream.
+    "repro_build_info",
     "repro_engine_runs_total",
     "repro_engine_quanta_total",
     "repro_engine_traces_simulated_total",
@@ -55,6 +56,8 @@ REQUIRED_METRICS = (
     "repro_engine_rate_cache_misses_total",
     "repro_engine_run_seconds_count",
     'repro_engine_phase_seconds{phase="run"}',
+    "repro_telemetry_runs_total",
+    "repro_stream_events_total",
 )
 
 
@@ -148,6 +151,11 @@ def run_smoke() -> None:
         metrics = http("GET", service.url + "/metrics").decode()
         for name in REQUIRED_METRICS:
             assert name in metrics, f"missing metric: {name}"
+        fleet = [
+            line for line in metrics.splitlines()
+            if line.startswith("repro_fleet_")
+        ]
+        assert not fleet, f"fleet series on /metrics: {fleet}"
         print(f"[smoke] /metrics exposes all {len(REQUIRED_METRICS)} "
               "required series")
     finally:

@@ -49,7 +49,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..obs.logging import get_logger
-from ..obs.metrics import engine_metrics
+from ..obs.metrics import process_metrics
 from ..obs.timeseries import SeriesPoint
 from ..obs.tracing import span
 from ..workloads.base import Workload
@@ -544,7 +544,7 @@ def _finish_run(st: RunState) -> RunResult:
     export_counter_tracks(
         result, st.wall0, time.perf_counter() - st.wall0
     )
-    metrics = engine_metrics()
+    metrics = process_metrics()
     metrics.runs.inc()
     metrics.quanta.inc(quanta)
     if ffed:

@@ -28,7 +28,7 @@ from ..obs.logging import get_logger
 from ..obs.provenance import build_provenance
 from ..obs.timeseries import TelemetryConfig
 from ..obs.tracing import span, thread_phase_totals
-from ..obs.metrics import engine_metrics
+from ..obs.metrics import process_metrics
 from ..rng import DEFAULT_SEED
 from ..workloads.base import Workload
 from .batchstep import batch_enabled, run_sweep
@@ -170,7 +170,7 @@ class PowerCapExperiment:
     def _run_tasks(
         self, tasks: Sequence[Tuple[Workload, Optional[float], int]]
     ) -> List[RunResult]:
-        metrics = engine_metrics()
+        metrics = process_metrics()
         runs0 = metrics.batch_runs.value
         quanta0 = metrics.batch_quanta.value
         results = run_sweep(self._runner, tasks, batch=self._batch)

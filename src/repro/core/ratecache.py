@@ -58,7 +58,7 @@ from ..errors import SimulationError
 from ..mem.hierarchy import AccessRates
 from ..mem.reconfig import GatingState
 from ..obs.logging import get_logger
-from ..obs.metrics import engine_metrics
+from ..obs.metrics import process_metrics
 from ..workloads.base import Workload
 
 __all__ = ["RateCache"]
@@ -250,13 +250,13 @@ class RateCache:
             entry = self._entries.get(key)
             if entry is None:
                 self.misses += 1
-                engine_metrics().rate_cache_misses.inc()
+                process_metrics().rate_cache_misses.inc()
                 return None
             try:
                 rates = AccessRates(**{k: float(v) for k, v in entry.items()})
             except TypeError:
                 self.misses += 1
-                engine_metrics().rate_cache_misses.inc()
+                process_metrics().rate_cache_misses.inc()
                 _log.warning(
                     "rate_cache_entry_malformed",
                     path=str(self._path),
@@ -265,7 +265,7 @@ class RateCache:
                 return None
             self._touch(key)
             self.hits += 1
-            engine_metrics().rate_cache_hits.inc()
+            process_metrics().rate_cache_hits.inc()
             return rates
 
     def put(self, key: str, rates: AccessRates) -> None:

@@ -38,7 +38,7 @@ from ..mem.hierarchy import AccessRates, MemoryHierarchy
 from ..mem.latency import AccessCosts, stall_ns_per_instruction
 from ..mem.reconfig import GatingState, ReconfigEngine
 from ..obs.logging import get_logger
-from ..obs.metrics import engine_metrics, telemetry_metrics
+from ..obs.metrics import process_metrics
 from ..obs.timeseries import TelemetryConfig, TelemetrySampler
 from ..obs.tracing import current_collector, span
 from ..perf.counters import CounterBank
@@ -206,7 +206,7 @@ class NodeRunner:
                         hierarchy.simulate_data_trace(sl.preload_addresses)
                     hierarchy.simulate_slice(d_warm, i_warm)
                     counts = hierarchy.simulate_slice(d_meas, i_meas)
-            engine_metrics().traces_simulated.inc()
+            process_metrics().traces_simulated.inc()
             _log.debug(
                 "trace_simulated",
                 workload=workload.name,
@@ -237,7 +237,7 @@ class NodeRunner:
 
         Instrumented: the whole run executes inside a ``run`` span, and
         run counts, control-quantum counts, fast-forward activations,
-        and wall-clock land in :func:`repro.obs.metrics.engine_metrics`.
+        and wall-clock land in :func:`repro.obs.metrics.process_metrics`.
         """
         wall0 = time.perf_counter()
         with span("run", workload=workload.name, cap_w=cap_w, rep=rep):
@@ -248,7 +248,7 @@ class NodeRunner:
             self._rate_cache.save()
         wall_s = time.perf_counter() - wall0
         export_counter_tracks(result, wall0, wall_s)
-        metrics = engine_metrics()
+        metrics = process_metrics()
         metrics.runs.inc()
         metrics.quanta.inc(quanta)
         if fast_forwarded:
@@ -727,7 +727,7 @@ class RunState:
         timeline = None
         if self.sampler is not None:
             timeline = self.sampler.finish(self.workload.name, self.cap_w)
-            telemetry_metrics().observe_run(self.sampler, timeline)
+            process_metrics().observe_timeline(self.sampler, timeline)
 
         meter = self.meter
         avg_power = (

@@ -49,9 +49,7 @@ from ..dcm.group import DivisionStrategy
 from ..errors import ConfigError, PolicyError
 from ..obs.detect import Detection
 from ..obs.logging import get_logger
-from ..obs.metrics import fleet_metrics, telemetry_metrics
 from ..obs.provenance import git_describe
-from ..obs.stream import FLEET_TOPIC, event_bus
 from ..obs.timeseries import SeriesChannel, channels_to_dict
 from ..rng import DEFAULT_SEED, RngStreams
 from .division import divide_groups, group_reduce, priority_fill_order
@@ -313,12 +311,6 @@ class FleetEngine:
         # per-tick health rollup reads this cache instead of scanning
         # three arrays every tick.
         self._esc_max_level = 0
-        # The live-stream gate takes the bus lock, so probe for
-        # subscribers every few ticks instead of every rebalance; a
-        # fresh subscriber waits at most 16 ticks for its first frame.
-        self._bus = event_bus()
-        self._fleet_subscribed = False
-        self._sub_probe_left = 0
         self._channels: Dict[str, SeriesChannel] = {}
         if self._telemetry:
             cap = self._telemetry_capacity
@@ -339,7 +331,7 @@ class FleetEngine:
         if self._health_enabled:
             self._health = FleetHealth(t, self._telemetry_capacity)
             # Health channels ride in the same timeline dict, so the
-            # result/CLI/stream surfaces treat them like any channel.
+            # result and CLI surfaces treat them like any channel.
             self._channels.update(self._health.channels)
         self._traj: Optional[Dict[str, list]] = (
             {"target_w": [], "applied_w": [], "reading_w": [], "power_w": []}
@@ -510,17 +502,7 @@ class FleetEngine:
                 ch[f"row{w}_power_w"].add(time_s, dt, float(row_power[w]))
 
         if self._health is not None:
-            # Live fleet stream, on the rebalance cadence: gated on an
-            # actual subscriber so unwatched runs skip the bus.
-            if due:
-                if self._sub_probe_left <= 0:
-                    self._fleet_subscribed = self._bus.has_subscribers(
-                        FLEET_TOPIC
-                    )
-                    self._sub_probe_left = 16
-                self._sub_probe_left -= 1
-            streaming = due and self._fleet_subscribed
-            rollup = self._health.observe_tick(
+            self._health.observe_tick(
                 time_s,
                 dt,
                 power_sum,
@@ -534,14 +516,7 @@ class FleetEngine:
                 self.budget_w,
                 self._esc_max_level,
                 caps_changed=caps_changed,
-                want_rollup=streaming,
             )
-            if streaming:
-                self._bus.publish(
-                    FLEET_TOPIC,
-                    "fleet_health",
-                    {"t_s": time_s, **rollup},
-                )
 
         if self._traj is not None:
             self._traj["target_w"].append(
@@ -586,29 +561,9 @@ class FleetEngine:
         for _ in range(ticks):
             self.step()
         wall = time.perf_counter() - wall0
-        if self._health is not None:
-            self._health.finish()
-        metrics = fleet_metrics()
-        metrics.runs.inc()
-        metrics.steps.inc(ticks)
-        metrics.node_steps.inc(ticks * self._topo.n_nodes)
-        metrics.rebalances.inc(
-            sum(1 for r in self._rebalances if r.applied)
-        )
-        metrics.escalations.inc(
-            sum(lv.escalations for lv in self._levels.values())
-        )
-        metrics.nodes.set(self._topo.n_nodes)
         phenomena: List[Detection] = []
         if self._health is not None:
-            health_summary = self._health.summary()
-            metrics.observe_health(
-                headroom_w=health_summary["mean_headroom_w"],
-                capfloor_frac=health_summary["mean_capfloor_frac"],
-                slo_debt_rate_w=health_summary["mean_slo_debt_rate_w"],
-                escalation_level=health_summary["max_escalation_level"],
-                rack_headroom_w=self._health.rack_headroom_means().tolist(),
-            )
+            self._health.finish()
             phenomena = self._health.detect(
                 self._rebalances, self.budget_w, ticks, self.dt_s
             )
@@ -619,13 +574,6 @@ class FleetEngine:
                     workload=det.workload,
                     cap_w=det.cap_w,
                     **det.detail,
-                )
-                event_bus().publish(
-                    FLEET_TOPIC, "detection", det.to_dict()
-                )
-            if phenomena:
-                telemetry_metrics().observe_detections(
-                    [d.phenomenon for d in phenomena]
                 )
         return self._result(ticks, wall, phenomena)
 

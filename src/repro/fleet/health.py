@@ -10,7 +10,7 @@ pointers), feeds them into bounded
 finished run for three fleet-scale failure shapes, following the
 :mod:`repro.obs.detect` conventions (structured
 :class:`~repro.obs.detect.Detection` records, ``phenomenon_detected``
-logs, ``repro_telemetry_detections_total`` counts):
+logs):
 
 - **budget thrash** — the tree keeps re-dividing: a large fraction of
   evaluated rebalances actually moved caps, so nodes live under a
@@ -117,10 +117,6 @@ class FleetHealth:
         self._debt_rate_sum = 0.0
         self._max_level = 0
         self._starved_ticks = np.zeros(topology.n_nodes, dtype=np.int64)
-        # Rack headroom is accumulated as two halves — rack allocation
-        # and rack power — folded in at window flushes, not per tick.
-        self._rack_power_acc = np.zeros(topology.n_racks)
-        self._rack_alloc_acc = np.zeros(topology.n_racks)
         # Floor-pin cache: caps move only at applied rebalances, so the
         # O(nodes) mask is recomputed on demand, not per tick.
         self._capfloor_frac = 0.0
@@ -142,7 +138,9 @@ class FleetHealth:
         self._w_ticks = 0
         self._w_t0 = 0.0
         self._w_dt = 0.0
-        self._pwin_acc = np.zeros(t.n_nodes)
+        # Node power summed over the window and reduced to racks at the
+        # flush; only the per-rack channels read it.
+        self._pwin_acc = np.zeros(t.n_nodes) if self._rack_channels else None
         self._abuf = np.zeros((stride, t.n_racks))
         self._has_alloc = np.zeros(stride, dtype=bool)
         self._psums: List[float] = []
@@ -174,9 +172,8 @@ class FleetHealth:
         fleet_budget_w: float,
         max_level: int,
         caps_changed: bool = True,
-        want_rollup: bool = True,
-    ) -> Optional[dict]:
-        """Fold one tick's state; returns the fleet-level rollup values.
+    ) -> None:
+        """Fold one tick's state into the window.
 
         The hot path only *buffers*: per-node rows land in
         preallocated window arrays and every numpy reduction is
@@ -187,9 +184,7 @@ class FleetHealth:
         per-rack channels stay silent for those ticks.
         ``caps_changed`` flushes the window early so the floor-pin
         mask stays tick-accurate while being recomputed only when caps
-        actually moved.  Pass ``want_rollup=False`` (the engine does,
-        unless the fleet stream has a subscriber) to skip building the
-        per-tick rollup dict.
+        actually moved.
         """
         self._ticks += 1
 
@@ -211,7 +206,8 @@ class FleetHealth:
         self._w_ticks = j + 1
         self._w_dt += dt_s
         if rack_alloc is not None:
-            self._pwin_acc += power
+            if self._rack_channels:
+                self._pwin_acc += power
             self._abuf[j] = rack_alloc
             self._has_alloc[j] = True
         else:
@@ -224,22 +220,6 @@ class FleetHealth:
         self._budget_w = fleet_budget_w
         if self._w_ticks >= self._stride:
             self._flush_window()
-        if not want_rollup:
-            return None
-        if rack_alloc is not None:
-            headroom = float(rack_alloc.sum()) - power_sum
-        else:
-            headroom = fleet_budget_w - power_sum
-        return {
-            "headroom_w": headroom,
-            "capfloor_frac": self._capfloor_frac,
-            "slo_debt_rate_w": shortfall_sum,
-            "escalation_level": max_level,
-        }
-
-    def _rack_headroom_total(self) -> np.ndarray:
-        """Per-rack headroom summed over all allocated ticks so far."""
-        return self._rack_alloc_acc - self._rack_power_acc
 
     def _flush_window(self) -> None:
         """Reduce the buffered window: one vectorized pass per stride.
@@ -258,11 +238,9 @@ class FleetHealth:
         has_alloc = self._has_alloc[:n]
         n_alloc = int(np.count_nonzero(has_alloc))
 
-        rack_headroom = None
         if n_alloc == n:
             alloc_sums = self._abuf[:n].sum(axis=1)
             headroom = alloc_sums - psums
-            rack_alloc_sum = self._abuf[:n].sum(axis=0)
         elif n_alloc == 0:
             headroom = self._budget_w - psums
         else:
@@ -270,15 +248,6 @@ class FleetHealth:
             headroom = np.where(
                 has_alloc, alloc_sums - psums, self._budget_w - psums
             )
-            rack_alloc_sum = self._abuf[:n][has_alloc].sum(axis=0)
-        if n_alloc:
-            rack_power_sum = group_reduce(
-                self._pwin_acc, self._topo.rack_ptr
-            )
-            self._pwin_acc[:] = 0.0
-            self._rack_alloc_acc += rack_alloc_sum
-            self._rack_power_acc += rack_power_sum
-            rack_headroom = rack_alloc_sum - rack_power_sum
 
         cf = self._capfloor_frac
         self._headroom_sum += float(headroom.sum())
@@ -303,8 +272,13 @@ class FleetHealth:
             t0, dt, float(levels.mean()),
             float(levels.min()), level_max,
         )
-        if self._rack_channels and rack_headroom is not None:
-            means = (rack_headroom / n_alloc).tolist()
+        if self._rack_channels and n_alloc:
+            rack_alloc_sum = self._abuf[:n][has_alloc].sum(axis=0)
+            rack_power_sum = group_reduce(
+                self._pwin_acc, self._topo.rack_ptr
+            )
+            self._pwin_acc[:] = 0.0
+            means = ((rack_alloc_sum - rack_power_sum) / n_alloc).tolist()
             for name, mean in zip(self._rack_names, means):
                 ch[name].add(t0, dt, mean)
 
@@ -323,7 +297,7 @@ class FleetHealth:
     # ------------------------------------------------------------------
 
     def summary(self) -> dict:
-        """Mean rollups over the run (the ``observe_health`` payload)."""
+        """Mean rollups over the run (the result's ``summary["health"]``)."""
         ticks = max(1, self._ticks)
         return {
             "mean_headroom_w": self._headroom_sum / ticks,
@@ -331,10 +305,6 @@ class FleetHealth:
             "mean_slo_debt_rate_w": self._debt_rate_sum / ticks,
             "max_escalation_level": self._max_level,
         }
-
-    def rack_headroom_means(self) -> np.ndarray:
-        """Per-rack mean headroom over the run (W)."""
-        return self._rack_headroom_total() / max(1, self._ticks)
 
     def starved_fractions(self) -> np.ndarray:
         """Per-node fraction of ticks spent floor-pinned and starving."""

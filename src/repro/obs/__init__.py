@@ -14,8 +14,8 @@ subsystem threads through (see ``docs/OBSERVABILITY.md``):
   digest, workload spec, seed, code version, cache stats, and phase
   timings that produced it;
 - :mod:`.metrics` — the Prometheus exposition layer plus
-  :func:`engine_metrics`, the simulation-core instrument panel, and
-  :func:`telemetry_metrics`, the in-run telemetry panel;
+  :func:`process_metrics`, the process-wide registry the simulation
+  core, in-run telemetry and the event bus feed;
 - :mod:`.timeseries` — bounded, downsampling in-run telemetry: the
   :class:`SeriesChannel` ring, :class:`RunTimeline`, and the
   :class:`TelemetrySampler` the runner feeds each control step
@@ -24,8 +24,8 @@ subsystem threads through (see ``docs/OBSERVABILITY.md``):
   paper's frequency-floor pinning, cap overshoot/settling, and
   energy-knee onset;
 - :mod:`.stream` — the bounded pub/sub event bus behind the HTTP
-  API's Server-Sent Events endpoints: telemetry samples, detections,
-  job lifecycle, and fleet health, live, with drop-oldest
+  API's Server-Sent Events endpoint: telemetry samples, detections
+  and job lifecycle, live, with drop-oldest
   backpressure and ``Last-Event-ID`` replay.
 """
 
@@ -48,22 +48,14 @@ from .logging import (
 )
 from .metrics import (
     BuildInfo,
-    BuildInfoMetrics,
     Counter,
-    EngineMetrics,
-    FleetMetrics,
     Gauge,
     Histogram,
     Metric,
     MetricsRegistry,
+    ProcessMetrics,
     ServiceMetrics,
-    StreamMetrics,
-    TelemetryMetrics,
-    build_info_metrics,
-    engine_metrics,
-    fleet_metrics,
-    stream_metrics,
-    telemetry_metrics,
+    process_metrics,
 )
 from .provenance import (
     PROVENANCE_SCHEMA_VERSION,
@@ -73,7 +65,6 @@ from .provenance import (
     render_provenance,
 )
 from .stream import (
-    FLEET_TOPIC,
     JOB_TOPIC_PREFIX,
     TERMINAL_EVENT_KINDS,
     EventBus,
@@ -131,17 +122,9 @@ __all__ = [
     "Metric",
     "MetricsRegistry",
     "ServiceMetrics",
-    "EngineMetrics",
-    "engine_metrics",
-    "TelemetryMetrics",
-    "telemetry_metrics",
-    "FleetMetrics",
-    "fleet_metrics",
-    "StreamMetrics",
-    "stream_metrics",
+    "ProcessMetrics",
+    "process_metrics",
     "BuildInfo",
-    "BuildInfoMetrics",
-    "build_info_metrics",
     "StreamEvent",
     "Subscription",
     "EventBus",
@@ -151,7 +134,6 @@ __all__ = [
     "current_stream",
     "stream_publish",
     "JOB_TOPIC_PREFIX",
-    "FLEET_TOPIC",
     "TERMINAL_EVENT_KINDS",
     "TIMELINE_SCHEMA_VERSION",
     "SeriesPoint",

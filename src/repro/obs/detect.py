@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from .logging import get_logger
-from .metrics import telemetry_metrics
+from .metrics import process_metrics
 from .stream import stream_publish
 
 __all__ = [
@@ -229,7 +229,7 @@ def scan_experiment(result, floor_mhz: float) -> List[Detection]:
         )
         stream_publish("detection", det.to_dict())
     if detections:
-        telemetry_metrics().observe_detections(
+        process_metrics().observe_detections(
             [d.phenomenon for d in detections]
         )
     return detections

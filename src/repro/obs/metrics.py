@@ -7,11 +7,10 @@ rendered in the Prometheus text exposition format (version 0.0.4) for
 worker pool, the HTTP handler threads, and the simulation engine all
 share these registries.
 
-This module holds those primitives plus :class:`EngineMetrics` — a
-process-wide panel of *simulation internals* (runs, control quanta,
-fast-forward activations, trace simulations, rate-cache hits/misses,
-per-phase seconds) that the engine increments directly and the
-service's ``/metrics`` endpoint exposes alongside the queue/job series.
+``GET /metrics`` renders two registries: the service's own
+:class:`ServiceMetrics`, then :class:`ProcessMetrics`, the one
+process-wide registry (:func:`process_metrics`) that the simulation
+engine, the telemetry sampler, the detectors and the event bus feed.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ import math
 import threading
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from .stream import event_bus
 from .tracing import phase_totals
 
 __all__ = [
@@ -29,17 +29,9 @@ __all__ = [
     "Metric",
     "MetricsRegistry",
     "ServiceMetrics",
-    "EngineMetrics",
-    "engine_metrics",
-    "TelemetryMetrics",
-    "telemetry_metrics",
-    "FleetMetrics",
-    "fleet_metrics",
-    "StreamMetrics",
-    "stream_metrics",
+    "ProcessMetrics",
+    "process_metrics",
     "BuildInfo",
-    "BuildInfoMetrics",
-    "build_info_metrics",
 ]
 
 #: (metric name, labels, value)
@@ -204,24 +196,34 @@ class BuildInfo(Metric):
     the build that produced it.  :class:`Gauge`'s dict-callback form
     emits one sample per key under a single label name, which cannot
     express a multi-label constant — hence a dedicated metric.
+
+    ``labels`` is called once, at the first scrape: resolving the git
+    revision starts a subprocess, which a process that never renders
+    its metrics should not pay for.
     """
 
     kind = "gauge"
 
     def __init__(
-        self, name: str, help_text: str, labels: Dict[str, str]
+        self, name: str, help_text: str, labels: Callable[[], Dict[str, str]]
     ) -> None:
         super().__init__(name, help_text)
-        self._labels = {k: str(v) for k, v in labels.items()}
+        self._resolve = labels
+        self._labels: Optional[Dict[str, str]] = None
 
     @property
     def labels(self) -> Dict[str, str]:
         """The build identity this metric carries."""
-        return dict(self._labels)
+        with self._lock:
+            if self._labels is None:
+                self._labels = {
+                    k: str(v) for k, v in self._resolve().items()
+                }
+            return dict(self._labels)
 
     def samples(self) -> List[Sample]:
         """The single constant sample, labels attached."""
-        return [(self.name, dict(self._labels), 1.0)]
+        return [(self.name, self.labels, 1.0)]
 
 
 class MetricsRegistry:
@@ -254,42 +256,59 @@ class MetricsRegistry:
         return "\n".join(lines) + "\n"
 
 
-class EngineMetrics:
-    """Simulation-core instrument panel (one per process).
+def _build_labels() -> Dict[str, str]:
+    """The package version, git revision and persistence schema versions."""
+    # Local imports: the package root imports this module.
+    from .. import __version__
+    from .provenance import PROVENANCE_SCHEMA_VERSION, git_describe
+    from .timeseries import TIMELINE_SCHEMA_VERSION
 
-    The engine increments these directly on its cold paths — nothing
-    here runs per control quantum except a batched add at run end:
+    return {
+        "version": __version__,
+        "git": git_describe() or "unknown",
+        "provenance_schema": str(PROVENANCE_SCHEMA_VERSION),
+        "timeline_schema": str(TIMELINE_SCHEMA_VERSION),
+    }
 
-    - ``repro_engine_runs_total`` — completed :meth:`NodeRunner.run`
-      calls;
-    - ``repro_engine_quanta_total`` — control-loop iterations
-      (controller actuations), added once per finished run;
-    - ``repro_engine_fast_forward_total`` — steady-state fast-forward
-      activations;
-    - ``repro_engine_block_steps_total`` /
-      ``repro_engine_block_quanta_total`` — stable segments retired by
-      the block-step kernel, and the quanta inside them;
-    - ``repro_engine_batch_runs_total`` /
-      ``repro_engine_batch_quanta_total`` — runs that joined a
-      multi-run batch march, and the quanta those marches retired;
-    - ``repro_engine_traces_simulated_total`` — slice simulations that
-      actually ran (rate-cache/memo misses);
-    - ``repro_engine_rate_cache_hits_total`` /
-      ``repro_engine_rate_cache_misses_total`` — persistent rate-cache
-      lookups, process-wide across every :class:`RateCache` instance;
-    - ``repro_engine_run_seconds`` — wall-clock histogram per run;
-    - ``repro_engine_phase_seconds`` — cumulative seconds per span
-      name, scraped live from the tracing phase accumulator.
 
-    The exposed values cover the scraped process only.  That is the
-    whole story for the service's thread workers; shard processes
-    (``serve --shards``) keep their own panels, which the parent's
+class ProcessMetrics(MetricsRegistry):
+    """The process-wide registry: one per process (:func:`process_metrics`).
+
+    Its series, in exposition order:
+
+    - ``repro_build_info`` — the build identity (:class:`BuildInfo`):
+      package version, git revision (``unknown`` outside a checkout)
+      and the schema versions of provenance manifests and telemetry
+      timelines.
+    - ``repro_engine_*`` — simulation internals (runs, control quanta,
+      fast-forwards, kernel blocks, batch marches, trace simulations,
+      rate-cache lookups, run wall-clock), which the engine adds to on
+      its cold paths: nothing here runs per control quantum except a
+      batched add at run end.  ``repro_engine_phase_seconds`` is read
+      from the tracing phase accumulator at scrape time.
+    - ``repro_telemetry_*`` — in-run telemetry, added once per finished
+      run (:meth:`observe_timeline`) and once per detector scan
+      (:meth:`observe_detections`).
+    - ``repro_stream_*`` — read from the process-wide
+      :class:`~repro.obs.stream.EventBus` at scrape time, so publishing
+      pays no metric bookkeeping.
+
+    The values cover the scraped process only.  That is the whole
+    story for the service's thread workers; shard processes
+    (``serve --shards``) keep their own registry, which the parent's
     ``/metrics`` does not include.
     """
 
     def __init__(self) -> None:
-        self.registry = MetricsRegistry()
-        reg = self.registry.register
+        super().__init__()
+        reg = self.register
+        self.build_info = reg(
+            BuildInfo(
+                "repro_build_info",
+                "Build identity of this process (constant 1)",
+                _build_labels,
+            )
+        )
         self.runs = reg(
             Counter("repro_engine_runs_total", "Completed simulation runs")
         )
@@ -355,12 +374,74 @@ class EngineMetrics:
                          30.0, 60.0),
             )
         )
-        self.phase_seconds = reg(
+        reg(
             Gauge(
                 "repro_engine_phase_seconds",
                 "Cumulative wall-clock seconds per instrumented span",
                 callback=self._phase_seconds,
                 label_name="phase",
+            )
+        )
+        self.telemetry_runs = reg(
+            Counter(
+                "repro_telemetry_runs_total",
+                "Runs that recorded a telemetry timeline",
+            )
+        )
+        self.telemetry_samples = reg(
+            Counter(
+                "repro_telemetry_samples_total",
+                "Raw telemetry sampler record() calls",
+            )
+        )
+        self.telemetry_points = reg(
+            Counter(
+                "repro_telemetry_points_total",
+                "Timeline points held at run end (post-decimation)",
+            )
+        )
+        self.telemetry_decimations = reg(
+            Counter(
+                "repro_telemetry_decimations_total",
+                "2x ring decimation passes across all channels",
+            )
+        )
+        self.telemetry_channels = reg(
+            Gauge(
+                "repro_telemetry_channels",
+                "Channels recorded in the most recent timeline",
+            )
+        )
+        self._detections_lock = threading.Lock()
+        self._detections: Dict[str, float] = {}
+        reg(
+            Gauge(
+                "repro_telemetry_detections_total",
+                "Detector hits by phenomenon",
+                callback=self._detection_counts,
+                label_name="phenomenon",
+            )
+        )
+        reg(
+            Gauge(
+                "repro_stream_events_total",
+                "Events published to the live stream bus",
+                callback=lambda: float(event_bus().published_total()),
+            )
+        )
+        reg(
+            Gauge(
+                "repro_stream_dropped_total",
+                "Stream events dropped by slow subscribers "
+                "(drop-oldest backpressure)",
+                callback=lambda: float(event_bus().dropped_total()),
+            )
+        )
+        reg(
+            Gauge(
+                "repro_stream_subscribers",
+                "Live stream subscriptions across all topics",
+                callback=lambda: float(event_bus().subscriber_count()),
             )
         )
 
@@ -370,102 +451,18 @@ class EngineMetrics:
             name: acc["seconds"] for name, acc in phase_totals().items()
         }
 
-    def render(self) -> str:
-        """Text exposition of the engine panel."""
-        return self.registry.render()
-
-
-_engine_metrics_lock = threading.Lock()
-_engine_metrics: "EngineMetrics | None" = None
-
-
-def engine_metrics() -> EngineMetrics:
-    """The process-wide :class:`EngineMetrics` singleton."""
-    global _engine_metrics
-    if _engine_metrics is None:
-        with _engine_metrics_lock:
-            if _engine_metrics is None:
-                _engine_metrics = EngineMetrics()
-    return _engine_metrics
-
-
-class TelemetryMetrics:
-    """In-run telemetry instrument panel (one per process).
-
-    The sampler is pure bookkeeping on the hot path; these series are
-    incremented **in batch, once per finished run** (and once per
-    detector scan), never per control quantum:
-
-    - ``repro_telemetry_runs_total`` — runs that recorded a timeline;
-    - ``repro_telemetry_samples_total`` — raw sampler ``record`` calls
-      folded into buckets;
-    - ``repro_telemetry_points_total`` — timeline points held at run
-      end (post-decimation);
-    - ``repro_telemetry_decimations_total`` — 2× ring decimation
-      passes across all channels;
-    - ``repro_telemetry_channels`` — channels in the most recent
-      timeline;
-    - ``repro_telemetry_detections_total{phenomenon=...}`` — detector
-      hits by phenomenon name (``freq_floor``, ``cap_overshoot``,
-      ``energy_knee``).
-    """
-
-    def __init__(self) -> None:
-        self.registry = MetricsRegistry()
-        reg = self.registry.register
-        self.runs = reg(
-            Counter(
-                "repro_telemetry_runs_total",
-                "Runs that recorded a telemetry timeline",
-            )
-        )
-        self.samples = reg(
-            Counter(
-                "repro_telemetry_samples_total",
-                "Raw telemetry sampler record() calls",
-            )
-        )
-        self.points = reg(
-            Counter(
-                "repro_telemetry_points_total",
-                "Timeline points held at run end (post-decimation)",
-            )
-        )
-        self.decimations = reg(
-            Counter(
-                "repro_telemetry_decimations_total",
-                "2x ring decimation passes across all channels",
-            )
-        )
-        self.channels = reg(
-            Gauge(
-                "repro_telemetry_channels",
-                "Channels recorded in the most recent timeline",
-            )
-        )
-        self._detections_lock = threading.Lock()
-        self._detections: Dict[str, float] = {}
-        self.detections = reg(
-            Gauge(
-                "repro_telemetry_detections_total",
-                "Detector hits by phenomenon",
-                callback=self._detection_counts,
-                label_name="phenomenon",
-            )
-        )
-
     def _detection_counts(self) -> Dict[str, float]:
         with self._detections_lock:
             return dict(self._detections)
 
-    def observe_run(self, sampler, timeline) -> None:
+    def observe_timeline(self, sampler, timeline) -> None:
         """Batch-record one finished run's sampler + timeline stats."""
-        self.runs.inc()
-        self.samples.inc(sampler.samples)
+        self.telemetry_runs.inc()
+        self.telemetry_samples.inc(sampler.samples)
         channels = list(timeline.channels.values())
-        self.points.inc(sum(len(c) for c in channels))
-        self.decimations.inc(sum(c.decimations for c in channels))
-        self.channels.set(len(channels))
+        self.telemetry_points.inc(sum(len(c) for c in channels))
+        self.telemetry_decimations.inc(sum(c.decimations for c in channels))
+        self.telemetry_channels.set(len(channels))
 
     def observe_detections(self, phenomena: "Sequence[str]") -> None:
         """Count detector hits, labelled by phenomenon name."""
@@ -473,267 +470,13 @@ class TelemetryMetrics:
             for name in phenomena:
                 self._detections[name] = self._detections.get(name, 0.0) + 1.0
 
-    def render(self) -> str:
-        """Text exposition of the telemetry panel."""
-        return self.registry.render()
+
+_PROCESS_METRICS = ProcessMetrics()
 
 
-_telemetry_metrics_lock = threading.Lock()
-_telemetry_metrics: "TelemetryMetrics | None" = None
-
-
-def telemetry_metrics() -> TelemetryMetrics:
-    """The process-wide :class:`TelemetryMetrics` singleton."""
-    global _telemetry_metrics
-    if _telemetry_metrics is None:
-        with _telemetry_metrics_lock:
-            if _telemetry_metrics is None:
-                _telemetry_metrics = TelemetryMetrics()
-    return _telemetry_metrics
-
-
-class StreamMetrics:
-    """Live-streaming instrument panel (one per process).
-
-    Every series is callback-backed from the process-wide
-    :class:`~repro.obs.stream.EventBus`, so scrapes always see current
-    values and publishing pays no metric bookkeeping at all:
-
-    - ``repro_stream_events_total`` — events published across all
-      topics (telemetry samples, detections, lifecycle, fleet health);
-    - ``repro_stream_dropped_total`` — events dropped by slow
-      subscribers under drop-oldest backpressure;
-    - ``repro_stream_subscribers`` — live subscriptions bus-wide.
-    """
-
-    def __init__(self) -> None:
-        # Local import: repro.obs.stream imports nothing from here, but
-        # keeping the edge one-way at module load avoids a cycle if it
-        # ever does.
-        from .stream import event_bus
-
-        self.registry = MetricsRegistry()
-        reg = self.registry.register
-        self.events = reg(
-            Gauge(
-                "repro_stream_events_total",
-                "Events published to the live stream bus",
-                callback=lambda: float(event_bus().published_total()),
-            )
-        )
-        self.dropped = reg(
-            Gauge(
-                "repro_stream_dropped_total",
-                "Stream events dropped by slow subscribers "
-                "(drop-oldest backpressure)",
-                callback=lambda: float(event_bus().dropped_total()),
-            )
-        )
-        self.subscribers = reg(
-            Gauge(
-                "repro_stream_subscribers",
-                "Live stream subscriptions across all topics",
-                callback=lambda: float(event_bus().subscriber_count()),
-            )
-        )
-
-    def render(self) -> str:
-        """Text exposition of the stream panel."""
-        return self.registry.render()
-
-
-_stream_metrics_lock = threading.Lock()
-_stream_metrics: "StreamMetrics | None" = None
-
-
-def stream_metrics() -> StreamMetrics:
-    """The process-wide :class:`StreamMetrics` singleton."""
-    global _stream_metrics
-    if _stream_metrics is None:
-        with _stream_metrics_lock:
-            if _stream_metrics is None:
-                _stream_metrics = StreamMetrics()
-    return _stream_metrics
-
-
-class FleetMetrics:
-    """Fleet-simulation instrument panel (one per process).
-
-    :class:`~repro.fleet.engine.FleetEngine` adds to these **once per
-    finished run** — never per tick — so the panel costs nothing on
-    the vectorized hot path:
-
-    - ``repro_fleet_runs_total`` — completed fleet runs;
-    - ``repro_fleet_steps_total`` — fleet control ticks simulated;
-    - ``repro_fleet_node_steps_total`` — node-steps (ticks x nodes),
-      the unit of the fleet's real-time floor (1M node-steps/s at
-      100k nodes);
-    - ``repro_fleet_rebalances_total`` — budget-tree re-divisions that
-      actually moved caps;
-    - ``repro_fleet_escalations_total`` — cascading cap escalations
-      across all tree levels;
-    - ``repro_fleet_nodes`` — node count of the most recent run.
-
-    When health rollups are enabled (:mod:`repro.fleet.health`), the
-    run-end :meth:`observe_health` batch adds the
-    ``repro_fleet_health_*`` series: fleet headroom (allocation minus
-    drawn power), the fraction of nodes pinned at their cap floor,
-    the SLO-debt accrual rate, the deepest escalation level reached,
-    and a per-rack headroom histogram.
-    """
-
-    def __init__(self) -> None:
-        self.registry = MetricsRegistry()
-        reg = self.registry.register
-        self.runs = reg(
-            Counter("repro_fleet_runs_total", "Completed fleet runs")
-        )
-        self.steps = reg(
-            Counter(
-                "repro_fleet_steps_total", "Fleet control ticks simulated"
-            )
-        )
-        self.node_steps = reg(
-            Counter(
-                "repro_fleet_node_steps_total",
-                "Node-steps simulated (ticks x nodes)",
-            )
-        )
-        self.rebalances = reg(
-            Counter(
-                "repro_fleet_rebalances_total",
-                "Budget-tree re-divisions that moved caps",
-            )
-        )
-        self.escalations = reg(
-            Counter(
-                "repro_fleet_escalations_total",
-                "Cascading cap escalations across all tree levels",
-            )
-        )
-        self.nodes = reg(
-            Gauge("repro_fleet_nodes", "Node count of the most recent run")
-        )
-        self.health_headroom = reg(
-            Gauge(
-                "repro_fleet_health_headroom_w",
-                "Mean fleet headroom (allocation - power, W) over the "
-                "most recent run",
-            )
-        )
-        self.health_capfloor = reg(
-            Gauge(
-                "repro_fleet_health_capfloor_frac",
-                "Mean fraction of nodes pinned at their cap floor over "
-                "the most recent run",
-            )
-        )
-        self.health_slo_debt_rate = reg(
-            Gauge(
-                "repro_fleet_health_slo_debt_rate_w",
-                "Mean SLO-debt accrual rate (W) over the most recent run",
-            )
-        )
-        self.health_escalation = reg(
-            Gauge(
-                "repro_fleet_health_escalation_level",
-                "Deepest budget-tree escalation level reached in the "
-                "most recent run",
-            )
-        )
-        self.health_rack_headroom = reg(
-            Histogram(
-                "repro_fleet_health_rack_headroom_w",
-                "Per-rack mean headroom (W) at the end of each run",
-                buckets=(-1000.0, -100.0, -10.0, 0.0, 10.0, 100.0,
-                         1000.0, 10000.0),
-            )
-        )
-
-    def observe_health(
-        self,
-        headroom_w: float,
-        capfloor_frac: float,
-        slo_debt_rate_w: float,
-        escalation_level: float,
-        rack_headroom_w: "Sequence[float]",
-    ) -> None:
-        """Batch-record one run's health summary (run end, never per tick)."""
-        self.health_headroom.set(headroom_w)
-        self.health_capfloor.set(capfloor_frac)
-        self.health_slo_debt_rate.set(slo_debt_rate_w)
-        self.health_escalation.set(escalation_level)
-        for value in rack_headroom_w:
-            self.health_rack_headroom.observe(float(value))
-
-    def render(self) -> str:
-        """Text exposition of the fleet panel."""
-        return self.registry.render()
-
-
-_fleet_metrics_lock = threading.Lock()
-_fleet_metrics: "FleetMetrics | None" = None
-
-
-def fleet_metrics() -> FleetMetrics:
-    """The process-wide :class:`FleetMetrics` singleton."""
-    global _fleet_metrics
-    if _fleet_metrics is None:
-        with _fleet_metrics_lock:
-            if _fleet_metrics is None:
-                _fleet_metrics = FleetMetrics()
-    return _fleet_metrics
-
-
-class BuildInfoMetrics:
-    """Build-identity panel: the ``repro_build_info`` constant gauge.
-
-    Scrapes become correlatable across commits: the label set carries
-    the package version, the git revision of the source tree
-    (``unknown`` outside a checkout), and the schema versions of the
-    versioned persistence formats — provenance manifests and telemetry
-    timelines.
-    """
-
-    def __init__(self) -> None:
-        # Local imports: the package root imports this module, so
-        # resolving them lazily at first scrape keeps module load
-        # cheap and cycle-free.
-        from .. import __version__
-        from .provenance import PROVENANCE_SCHEMA_VERSION, git_describe
-        from .timeseries import TIMELINE_SCHEMA_VERSION
-
-        self.registry = MetricsRegistry()
-        self.build_info = self.registry.register(
-            BuildInfo(
-                "repro_build_info",
-                "Build identity of this process (constant 1)",
-                {
-                    "version": __version__,
-                    "git": git_describe() or "unknown",
-                    "provenance_schema": str(PROVENANCE_SCHEMA_VERSION),
-                    "timeline_schema": str(TIMELINE_SCHEMA_VERSION),
-                },
-            )
-        )
-
-    def render(self) -> str:
-        """Text exposition of the build-identity panel."""
-        return self.registry.render()
-
-
-_build_info_metrics_lock = threading.Lock()
-_build_info_metrics: "BuildInfoMetrics | None" = None
-
-
-def build_info_metrics() -> BuildInfoMetrics:
-    """The process-wide :class:`BuildInfoMetrics` singleton."""
-    global _build_info_metrics
-    if _build_info_metrics is None:
-        with _build_info_metrics_lock:
-            if _build_info_metrics is None:
-                _build_info_metrics = BuildInfoMetrics()
-    return _build_info_metrics
+def process_metrics() -> ProcessMetrics:
+    """The process-wide :class:`ProcessMetrics` registry."""
+    return _PROCESS_METRICS
 
 
 class ServiceMetrics:
@@ -744,9 +487,9 @@ class ServiceMetrics:
     the live scheduler at service start so scrapes always see current
     values without any bookkeeping on the hot path.
 
-    :meth:`render` appends the process-wide :class:`EngineMetrics`
-    panel, so one ``/metrics`` scrape covers the service *and* the
-    simulation core.
+    :meth:`render` appends the process-wide registry
+    (:func:`process_metrics`), so one ``/metrics`` scrape covers the
+    service, the simulation core, in-run telemetry and the event bus.
     """
 
     def __init__(self) -> None:
@@ -874,20 +617,7 @@ class ServiceMetrics:
         """Expose the scheduler's effective shard count."""
         self._shards._callback = effective_shards
 
-    #: The panels one ``/metrics`` scrape covers, in exposition order.
-    @staticmethod
-    def _panels() -> "List[MetricsRegistry]":
-        return [
-            build_info_metrics().registry,
-            engine_metrics().registry,
-            telemetry_metrics().registry,
-            fleet_metrics().registry,
-            stream_metrics().registry,
-        ]
-
     def render(self) -> str:
-        """Text exposition: service + build-info + engine + telemetry
-        + fleet + stream panels."""
-        return self.registry.render() + "".join(
-            panel.render() for panel in self._panels()
-        )
+        """Text exposition: this service's registry, then the
+        process-wide one."""
+        return self.registry.render() + process_metrics().render()

@@ -1,15 +1,15 @@
 """Live event streaming: a bounded pub/sub bus behind the SSE API.
 
 Everything the observability layer records *after* a run — telemetry
-buckets, phenomenon detections, job lifecycle transitions, fleet
-health rollups — can also be watched *during* the run.  This module is
-the transport: a process-wide, thread-safe publish/subscribe bus whose
-subscribers are bounded (drop-oldest backpressure with an accurate
-dropped-events counter) and whose topics keep a bounded replay history
-so an HTTP client can reconnect with ``Last-Event-ID`` and miss
-nothing that is still in the ring.  The bus itself is bounded too: it
-keeps the :data:`MAX_TOPICS` most recently used topics, forgetting the
-oldest one that no subscriber holds.
+buckets, phenomenon detections, job lifecycle transitions — can also
+be watched *during* the run.  This module is the transport: a
+process-wide, thread-safe publish/subscribe bus whose subscribers are
+bounded (drop-oldest backpressure with an accurate dropped-events
+counter) and whose topics keep a bounded replay history so an HTTP
+client can reconnect with ``Last-Event-ID`` and miss nothing that is
+still in the ring.  The bus itself is bounded too: it keeps the
+:data:`MAX_TOPICS` most recently used topics, forgetting the oldest
+one that no subscriber holds.
 
 Design constraints, in order:
 
@@ -28,9 +28,9 @@ Design constraints, in order:
    so the per-bucket cost is one ``None`` check.
 
 Topics are strings: ``job:<id>`` for one run's telemetry + detector +
-lifecycle events, ``fleet`` for fleet health rollups.  Sequence
-numbers are per-topic and monotonic from 1; they double as SSE event
-ids, so ``Last-Event-ID: 17`` resumes after event 17.
+lifecycle events.  Sequence numbers are per-topic and monotonic from
+1; they double as SSE event ids, so ``Last-Event-ID: 17`` resumes
+after event 17.
 """
 
 from __future__ import annotations
@@ -50,13 +50,11 @@ __all__ = [
     "current_stream",
     "stream_publish",
     "JOB_TOPIC_PREFIX",
-    "FLEET_TOPIC",
     "MAX_TOPICS",
     "TERMINAL_EVENT_KINDS",
 ]
 
 JOB_TOPIC_PREFIX = "job:"
-FLEET_TOPIC = "fleet"
 
 #: Topics the bus retains.  Every job publishes to its own topic, so
 #: without a bound a long-lived service keeps every job's history.
@@ -270,7 +268,7 @@ class EventBus:
         sub.close()
 
     # ------------------------------------------------------------------
-    # Introspection (feeds the stream metrics panel)
+    # Introspection (feeds the repro_stream_* series)
     # ------------------------------------------------------------------
 
     def published_total(self) -> int:
@@ -290,12 +288,6 @@ class EventBus:
                 state = self._topics.get(topic)
                 return len(state.subscribers) if state else 0
             return sum(len(t.subscribers) for t in self._topics.values())
-
-    def has_subscribers(self, topic: str) -> bool:
-        """Cheap gate for publishers with per-tick cadence."""
-        with self._lock:
-            state = self._topics.get(topic)
-            return bool(state and state.subscribers)
 
     def last_seq(self, topic: str) -> int:
         """The topic's latest sequence id (0 before any publish)."""

@@ -121,27 +121,16 @@ class AdmissionController:
         self._shutting_down = False
         self._shed: Dict[str, int] = {r: 0 for r in SHED_REASONS}
         self._admitted = 0
-        # Recent drain rate (jobs/s) reported by the scheduler; feeds
-        # the queue-full Retry-After estimate.  A bound callback (the
-        # scheduler's live window) wins over noted values.
-        self._drain_rate = 0.0
+        # The scheduler's recent drain rate (jobs/s); feeds the
+        # queue-full Retry-After estimate.
         self._drain_rate_cb: Optional[Callable[[], float]] = None
 
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
 
-    def bind_queue_depth(self, callback: Callable[[], int]) -> None:
-        """Attach the live queue-depth callback (scheduler start)."""
-        self._queue_depth = callback
-
-    def note_drain_rate(self, jobs_per_s: float) -> None:
-        """Record the scheduler's recent drain throughput."""
-        with self._lock:
-            self._drain_rate = max(0.0, float(jobs_per_s))
-
     def bind_drain_rate(self, callback: Callable[[], float]) -> None:
-        """Attach a live drain-rate callback (overrides noted values)."""
+        """Attach the scheduler's live drain-rate callback."""
         self._drain_rate_cb = callback
 
     def begin_shutdown(self) -> None:
@@ -166,10 +155,10 @@ class AdmissionController:
                 self._shed["queue_full"] += 1
                 # Estimate how long the backlog takes to drain below
                 # the cap; clamp to something a client will honor.
-                drain = self._drain_rate
+                drain = 0.0
                 if self._drain_rate_cb is not None:
                     try:
-                        drain = max(drain, float(self._drain_rate_cb()))
+                        drain = float(self._drain_rate_cb())
                     except Exception:  # noqa: BLE001 — estimate only
                         pass
                 eta = depth / drain if drain > 0 else 1.0

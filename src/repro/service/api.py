@@ -17,7 +17,6 @@ Endpoints (see ``docs/SERVICE.md`` for payloads):
 ``GET /jobs/{id}/result``  the stored sweep document once DONE
 ``GET /jobs/{id}/timeseries``  the sweep's telemetry timelines
 ``GET /jobs/{id}/stream``  live Server-Sent Events for an in-flight run
-``GET /fleet/stream``  live fleet health rollup events (SSE)
 ``DELETE /jobs/{id}`` cancel a still-queued job
 ``GET /healthz``      liveness + queue depth + shard/front-end identity
 ``GET /metrics``      Prometheus text exposition (version 0.0.4)

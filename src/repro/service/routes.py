@@ -6,13 +6,13 @@ it:
 
 1. parse bytes into a :class:`Request`;
 2. call :meth:`Router.dispatch`;
-3. write back the :class:`Response`, or — for the SSE endpoints —
+3. write back the :class:`Response`, or — for the SSE endpoint —
    drive the returned :class:`StreamStart`'s session: write its
    headers, then loop ``poll()`` / wait until ``done``.
 
-The stream sessions are deliberately *poll-style*: a non-blocking
-``poll`` holds the replay/terminal/keepalive semantics, and the front
-end sleeps between polls on the subscription's wakeup hook.
+The stream session is deliberately *poll-style*: a non-blocking
+``poll`` holds the replay/terminal semantics, and the front end
+sleeps between polls on the subscription's wakeup hook.
 
 Admission control happens here too: every ``POST /jobs`` passes the
 service's :class:`~repro.service.admission.AdmissionController` before
@@ -33,7 +33,6 @@ from ..core.serialize import extract_timelines
 from ..errors import ConfigError, SimulationError
 from ..obs.logging import get_logger
 from ..obs.stream import (
-    FLEET_TOPIC,
     JOB_TOPIC_PREFIX,
     TERMINAL_EVENT_KINDS,
     StreamEvent,
@@ -48,12 +47,10 @@ __all__ = [
     "Response",
     "StreamStart",
     "JobStreamSession",
-    "FleetStreamSession",
     "Router",
     "error_response",
     "sse_frame",
     "sse_end",
-    "sse_comment",
 ]
 
 _log = get_logger("service.routes")
@@ -65,9 +62,6 @@ MAX_BODY_BYTES = 1 << 20
 #: after observing a terminal job state (the scheduler flips state
 #: before publishing).
 _TERMINAL_GRACE_S = 0.5
-
-#: Idle seconds between fleet-stream keepalive comments.
-_KEEPALIVE_S = 5.0
 
 #: Longest wait between stream polls.
 STREAM_POLL_S = 0.25
@@ -150,9 +144,9 @@ class Response:
 
 @dataclass
 class StreamStart:
-    """Dispatch result for an SSE endpoint: drive ``session`` to done."""
+    """Dispatch result for the SSE endpoint: drive ``session`` to done."""
 
-    session: "JobStreamSession | FleetStreamSession"
+    session: "JobStreamSession"
     status: int = 200
     content_type: str = "text/event-stream"
     headers: List[Tuple[str, str]] = field(
@@ -196,11 +190,6 @@ def sse_end(state: str) -> bytes:
     return (
         f"event: end\ndata: {json.dumps({'state': state})}\n\n"
     ).encode()
-
-
-def sse_comment(text: str) -> bytes:
-    """An SSE comment (keepalive) frame."""
-    return f": {text}\n\n".encode()
 
 
 # ----------------------------------------------------------------------
@@ -265,51 +254,6 @@ class JobStreamSession:
                 frames.append(sse_end(state))
                 self._done = True
                 return frames, True
-        return frames, False
-
-    def close(self) -> None:
-        """Detach from the bus (idempotent)."""
-        event_bus().unsubscribe(self.subscription)
-
-
-class FleetStreamSession:
-    """One fleet-stream subscriber: endless, with idle keepalives.
-
-    The fleet topic has no terminal event; idle periods carry SSE
-    comment keepalives so a vanished client surfaces as a write error
-    instead of a leaked subscription.  Service shutdown closes the
-    stream with a terminal ``end`` frame.
-    """
-
-    def __init__(self, service, last_event_id: Optional[int]):
-        self._service = service
-        self.subscription: Subscription = event_bus().subscribe(
-            FLEET_TOPIC, last_event_id=last_event_id
-        )
-        self._last_activity = time.monotonic()
-        self._done = False
-
-    def poll(self) -> Tuple[List[bytes], bool]:
-        """Drain ready events; keepalive after idle; end on shutdown."""
-        if self._done:
-            return [], True
-        frames: List[bytes] = []
-        while True:
-            event = self.subscription.get(timeout=0)
-            if event is None:
-                break
-            frames.append(sse_frame(event))
-        now = time.monotonic()
-        if frames:
-            self._last_activity = now
-            return frames, False
-        if self._service.stopping:
-            frames.append(sse_end("shutting_down"))
-            self._done = True
-            return frames, True
-        if now - self._last_activity >= _KEEPALIVE_S:
-            self._last_activity = now
-            frames.append(sse_comment("keepalive"))
         return frames, False
 
     def close(self) -> None:
@@ -417,10 +361,6 @@ class Router:
                 return self._get_timeseries(req, job_id)
             if leaf == "stream":
                 return self._get_job_stream(req, job_id)
-        if parts == ("fleet", "stream"):
-            return StreamStart(
-                FleetStreamSession(service, self._last_event_id(req))
-            )
         return self._error(req, 404, f"no such resource: {req.path}")
 
     # -- submission / cancellation -------------------------------------

@@ -273,9 +273,9 @@ def test_batched_sweep_bit_identical(telemetry, series):
 def test_batch_engine_engages():
     """The pinned caps must actually retire quanta through the march."""
     from repro.core.batchstep import run_sweep
-    from repro.obs.metrics import engine_metrics
+    from repro.obs.metrics import process_metrics
 
-    metrics = engine_metrics()
+    metrics = process_metrics()
     before = metrics.batch_quanta.value
     runner = NodeRunner(slice_accesses=SLICE_ACCESSES, block_step=True)
     tasks = _sweep_tasks(["stereo"], [160.0, 120.0], 3)

@@ -250,13 +250,11 @@ class TestResultDocument:
         assert doc["params"]["traffic"]["type"] == "flat"
         assert "fleet_power_w" in doc["timelines"]
 
-    def test_metrics_panel_updated(self):
-        from repro.obs.metrics import fleet_metrics
-
-        metrics = fleet_metrics()
-        runs_before = metrics.runs.value
-        steps_before = metrics.node_steps.value
-        make_engine().run(4.0)
-        assert metrics.runs.value == runs_before + 1
-        assert metrics.node_steps.value == steps_before + 4 * 16
-        assert "repro_fleet_node_steps_total" in metrics.render()
+    def test_summary_counts_the_run(self):
+        result = make_engine().run(4.0)
+        summary = result.summary
+        assert summary["ticks"] == 4
+        assert summary["node_steps"] == 4 * 16
+        assert summary["rebalances_applied"] == sum(
+            1 for r in result.rebalances if r.applied
+        )

@@ -71,29 +71,31 @@ class TestRollups:
     def test_observe_tick_rollup_values(self):
         topo = small_topo()  # 2 racks x 2 nodes, floors at 110 W
         health = FleetHealth(topo, capacity=64)
-        rollup = observe(
+        observe(
             health,
             rack_alloc=[250.0, 250.0],
             rack_power=[240.0, 230.0],
             applied=[110.0, 150.0, 110.0, 150.0],  # 2 of 4 at the floor
             shortfall=[50.0, 0.0, 0.0, 0.0],
         )
-        assert rollup["headroom_w"] == pytest.approx(30.0)
-        assert rollup["capfloor_frac"] == pytest.approx(0.5)
-        assert rollup["slo_debt_rate_w"] == pytest.approx(50.0)
-        assert rollup["escalation_level"] == 0
+        s = health.summary()
+        assert s["mean_headroom_w"] == pytest.approx(30.0)
+        assert s["mean_capfloor_frac"] == pytest.approx(0.5)
+        assert s["mean_slo_debt_rate_w"] == pytest.approx(50.0)
+        assert s["max_escalation_level"] == 0
 
     def test_headroom_falls_back_to_budget_before_first_division(self):
         health = FleetHealth(small_topo(), capacity=64)
-        rollup = observe(
+        observe(
             health,
             rack_alloc=None,
             rack_power=[200.0, 200.0],
             applied=[np.inf] * 4,   # nothing armed yet
             shortfall=[0.0] * 4,
         )
-        assert rollup["headroom_w"] == pytest.approx(500.0 - 400.0)
-        assert rollup["capfloor_frac"] == 0.0  # unarmed caps never pin
+        s = health.summary()
+        assert s["mean_headroom_w"] == pytest.approx(500.0 - 400.0)
+        assert s["mean_capfloor_frac"] == 0.0  # unarmed caps never pin
         # Per-rack channels stayed silent for the unallocated tick.
         assert len(health.channels["rack0_headroom_w"].points()) == 0
 
@@ -118,9 +120,6 @@ class TestRollups:
         assert s["max_escalation_level"] == 3
         np.testing.assert_allclose(
             health.starved_fractions(), [0.5, 0.0, 0.0, 0.0]
-        )
-        np.testing.assert_allclose(
-            health.rack_headroom_means(), [50.0, 50.0]
         )
 
     def test_channels_record_every_tick(self):

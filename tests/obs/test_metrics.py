@@ -1,19 +1,19 @@
-"""Engine metrics: the simulation-core panel and the service bridge."""
+"""The process-wide metrics registry and the service bridge."""
 
 from __future__ import annotations
 
 import re
 from dataclasses import replace
 
-from repro.obs.metrics import ServiceMetrics, engine_metrics
+from repro.obs.metrics import ServiceMetrics, process_metrics
 
 
-class TestEngineMetrics:
+class TestProcessMetrics:
     def test_singleton(self):
-        assert engine_metrics() is engine_metrics()
+        assert process_metrics() is process_metrics()
 
     def test_exposes_at_least_six_engine_series(self):
-        text = engine_metrics().render()
+        text = process_metrics().render()
         names = set(
             re.findall(r"^# TYPE (repro_engine_\w+)", text, re.MULTILINE)
         )
@@ -33,7 +33,7 @@ class TestEngineMetrics:
         from repro.core.runner import NodeRunner
         from repro.workloads.stereo import StereoMatchingWorkload
 
-        metrics = engine_metrics()
+        metrics = process_metrics()
         runs_before = metrics.runs.value
         quanta_before = metrics.quanta.value
         workload = StereoMatchingWorkload()
@@ -52,17 +52,25 @@ class TestEngineMetrics:
 
 
 class TestBuildInfo:
-    def test_singleton(self):
-        from repro.obs.metrics import build_info_metrics
+    def test_labels_resolve_at_first_render(self, monkeypatch):
+        """Building the registry starts no ``git``; rendering starts one."""
+        from repro.obs import provenance
+        from repro.obs.metrics import ProcessMetrics
 
-        assert build_info_metrics() is build_info_metrics()
+        calls = []
+        monkeypatch.setattr(
+            provenance, "git_describe", lambda: calls.append(1) or "abc1234"
+        )
+        metrics = ProcessMetrics()
+        assert calls == []
+        assert 'git="abc1234"' in metrics.render()
+        metrics.render()
+        assert calls == [1]
 
     def test_info_convention(self):
         """``repro_build_info`` is a constant-1 gauge with id labels."""
         from repro import __version__
-        from repro.obs.metrics import build_info_metrics
-
-        ((name, labels, value),) = build_info_metrics().build_info.samples()
+        ((name, labels, value),) = process_metrics().build_info.samples()
         assert name == "repro_build_info"
         assert value == 1.0
         assert labels["version"] == __version__
@@ -85,6 +93,7 @@ class TestBuildInfo:
             "repro_build_info",
             "repro_jobs_submitted_total",
             "repro_engine_runs_total",
-            "repro_fleet_runs_total",
+            "repro_telemetry_runs_total",
+            "repro_stream_events_total",
         ):
             assert expected in names, sorted(names)

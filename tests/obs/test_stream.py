@@ -14,7 +14,6 @@ import threading
 import pytest
 
 from repro.obs.stream import (
-    FLEET_TOPIC,
     JOB_TOPIC_PREFIX,
     MAX_TOPICS,
     TERMINAL_EVENT_KINDS,
@@ -90,8 +89,7 @@ class TestBusBasics:
         bus.subscribe("u")
         assert bus.subscriber_count("t") == 2
         assert bus.subscriber_count() == 3
-        assert bus.has_subscribers("t")
-        assert not bus.has_subscribers("v")
+        assert bus.subscriber_count("v") == 0
         bus.publish("t", "x", {})
         assert bus.published_total() == 1
         assert bus.topics() == ["t", "u"]
@@ -259,7 +257,6 @@ class TestStreamContext:
 class TestConstants:
     def test_topic_naming(self):
         assert JOB_TOPIC_PREFIX == "job:"
-        assert FLEET_TOPIC == "fleet"
 
     def test_terminal_kinds(self):
         assert TERMINAL_EVENT_KINDS == {

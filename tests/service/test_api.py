@@ -306,7 +306,7 @@ class TestDocumentedEndpoints:
         empty body), never the router's catch-all.
         """
         rows = documented_endpoints()
-        assert len(rows) >= 10, rows
+        assert len(rows) >= 9, rows
         for method, path in rows:
             target = path.replace("{id}", "no-such-id")
             result = service.router.dispatch(Request(method, target))

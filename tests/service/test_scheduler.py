@@ -10,7 +10,7 @@ import pytest
 
 from repro.core import serialize
 from repro.errors import ConfigError
-from repro.obs.metrics import engine_metrics
+from repro.obs.metrics import process_metrics
 from repro.service.jobs import Job, JobSpec, JobState
 from repro.service.scheduler import ExperimentScheduler
 from repro.service.shards import ShardPool
@@ -252,7 +252,7 @@ class TestSingleFlight:
             store, workers=2, rate_cache=tmp_path / "rates.json"
         )
         spec = JobSpec(caps_w=(150.0, 140.0), repetitions=2, scale=0.001)
-        runs = engine_metrics().runs
+        runs = process_metrics().runs
         before = runs.value
         jobs = [scheduler.submit(spec) for _ in range(4)]
         scheduler.start()

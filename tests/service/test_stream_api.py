@@ -3,8 +3,7 @@
 Covers: live subscription to a running job (every event exactly once,
 ids strictly increasing, terminal close), full-history replay on a
 finished job, ``Last-Event-ID`` resume via header and query parameter,
-404 on unknown jobs, the fleet stream, the live stream/engine gauges
-on ``/metrics``, the no-perturbation contract — the result document is
+404 on unknown jobs, the live stream/engine gauges on ``/metrics``, the no-perturbation contract — the result document is
 identical whether or not anyone was subscribed while the job ran — and
 the synthetic ``end`` frame of a job whose topic the bus forgot.
 """
@@ -20,7 +19,7 @@ from urllib.parse import urlparse
 
 import pytest
 
-from repro.obs.stream import FLEET_TOPIC, MAX_TOPICS, event_bus
+from repro.obs.stream import MAX_TOPICS, event_bus
 from repro.service.api import ExperimentService
 
 SPEC = {
@@ -148,41 +147,6 @@ class TestJobStream:
             assert err.value.code == 404
 
 
-class TestFleetStream:
-    def test_replays_published_fleet_events(self, service):
-        bus = event_bus()
-        first = bus.publish(FLEET_TOPIC, "fleet_health", {"headroom_w": 40.0})
-        bus.publish(FLEET_TOPIC, "fleet_health", {"headroom_w": 35.0})
-        last = bus.publish(
-            FLEET_TOPIC, "detection", {"phenomenon": "budget_thrash"}
-        )
-        # The fleet topic never terminates, so read incrementally over
-        # a raw connection and hang up once the frames have arrived.
-        parsed = urlparse(service.url)
-        conn = http.client.HTTPConnection(
-            parsed.hostname, parsed.port, timeout=10
-        )
-        try:
-            conn.request(
-                "GET", f"/fleet/stream?last_event_id={first - 1}"
-            )
-            resp = conn.getresponse()
-            assert resp.headers["Content-Type"] == "text/event-stream"
-            buf = b""
-            while f"id: {last}\n".encode() not in buf or not buf.endswith(
-                b"\n\n"
-            ):
-                buf += resp.fp.readline()
-        finally:
-            conn.close()
-        frames = parse_sse(buf.decode())
-        assert [f["id"] for f in frames] == [first, first + 1, last]
-        assert [f["event"] for f in frames] == [
-            "fleet_health", "fleet_health", "detection",
-        ]
-        assert frames[0]["data"] == {"headroom_w": 40.0}
-
-
 class TestLiveGauges:
     def get_metrics(self, service):
         req = urllib.request.Request(service.url + "/metrics")
@@ -195,30 +159,40 @@ class TestLiveGauges:
                 return float(line.split()[1])
         raise AssertionError(f"{name} not found in /metrics")
 
-    def test_stream_counters_exposed(self, service, streamed_job):
+    def test_stream_counters_exposed(self, service, streamed_job, tmp_path):
         _job, frames = streamed_job
         text = self.get_metrics(service)
         assert self.scalar(text, "repro_stream_events_total") >= len(frames)
         assert self.scalar(text, "repro_stream_dropped_total") >= 0.0
-        # A client that hangs up on an idle fleet stream is noticed at
-        # once, not at the server's next keepalive write (5 s away).
-        parsed = urlparse(service.url)
-        conn = http.client.HTTPConnection(
-            parsed.hostname, parsed.port, timeout=10
+        # A client that hangs up on an idle stream is noticed at once:
+        # a job that stays QUEUED publishes nothing, so only the
+        # socket's EOF can end its session.
+        idle = ExperimentService(
+            db_path=tmp_path / "idle.sqlite3", port=0, workers=1
         )
-        conn.request("GET", "/fleet/stream")
-        resp = conn.getresponse()  # holds the socket open
-        subscribers = "repro_stream_subscribers"
-        assert self.scalar(self.get_metrics(service), subscribers) >= 1.0
-        resp.close()
-        conn.close()
-        hung_up = time.monotonic()
-        while time.monotonic() - hung_up < 2.0:
-            value = self.scalar(self.get_metrics(service), subscribers)
-            if value == 0.0:
-                break
-            time.sleep(0.05)
-        assert value == 0.0
+        idle.start(start_workers=False)
+        try:
+            _, job = request_json(idle, "POST", "/jobs", SPEC)
+            assert job["state"] == "queued"
+            parsed = urlparse(idle.url)
+            conn = http.client.HTTPConnection(
+                parsed.hostname, parsed.port, timeout=10
+            )
+            conn.request("GET", f"/jobs/{job['id']}/stream")
+            resp = conn.getresponse()  # holds the socket open
+            subscribers = "repro_stream_subscribers"
+            assert self.scalar(self.get_metrics(idle), subscribers) >= 1.0
+            resp.close()
+            conn.close()
+            hung_up = time.monotonic()
+            while time.monotonic() - hung_up < 2.0:
+                value = self.scalar(self.get_metrics(idle), subscribers)
+                if value == 0.0:
+                    break
+                time.sleep(0.05)
+            assert value == 0.0
+        finally:
+            idle.shutdown(drain=False)
 
     def test_rate_cache_gauges_live(self, service, streamed_job):
         text = self.get_metrics(service)

@@ -249,6 +249,36 @@ class TestDocReferences:
             end = "" if name.endswith("_") else r"\b"
             assert re.search(rf"\b{name}{end}", code), f"{path.name} names {name}"
 
+    def test_documented_metrics_match_the_exposition(self):
+        """The docs and ``/metrics`` name the same metric families.
+
+        A backticked ``repro_*`` name counts without its
+        ``{label=...}`` suffix; one ending in ``*`` names a prefix,
+        which must match some family but documents none exactly.
+        """
+        from repro.obs.metrics import ServiceMetrics
+
+        families = set(
+            re.findall(r"^# TYPE (\S+) ", ServiceMetrics().render(), re.M)
+        )
+        documented = {
+            (path.name, name)
+            for path in sorted((REPO / "docs").glob("*.md"))
+            for name in re.findall(
+                r"`(repro_[^`{]*)(?:\{[^`]*\})?`", path.read_text()
+            )
+        }
+        exact = {name for _, name in documented if not name.endswith("*")}
+        assert len(families) >= 30, sorted(families)
+        assert not families - exact, sorted(families - exact)
+        for where, name in sorted(documented):
+            if name.endswith("*"):
+                assert any(f.startswith(name[:-1]) for f in families), (
+                    f"{where} names {name}"
+                )
+            else:
+                assert name in families, f"{where} names {name}"
+
 
 class TestServeCommands:
     def test_every_documented_serve_command_parses(self):
