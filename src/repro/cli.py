@@ -31,8 +31,9 @@ and ``--log-json`` configure structured logging on stderr (overriding
 ``REPRO_LOG_LEVEL`` / ``REPRO_LOG_JSON``); ``--trace-out PATH`` records
 every engine span — plus telemetry counter tracks — and writes a Chrome
 ``trace_event`` profile on exit; ``--telemetry-period`` /
-``--no-telemetry`` control in-run telemetry sampling (overriding
-``REPRO_TELEMETRY_PERIOD`` / ``REPRO_TELEMETRY``).
+``--no-telemetry`` control in-run telemetry sampling for ``baseline``,
+``sweep``, ``amenability`` and ``figures`` (a served job always records
+the default telemetry).
 """
 
 from __future__ import annotations
@@ -127,29 +128,23 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="simulated seconds per telemetry timeline sample "
-        "(overrides REPRO_TELEMETRY_PERIOD; default 0.25)",
+        "(default 0.25); read by baseline, sweep, amenability and "
+        "figures, not by serve",
     )
     parser.add_argument(
         "--no-telemetry",
         action="store_true",
         help="disable in-run telemetry timelines (simulation results "
-        "are bit-identical either way)",
-    )
-    parser.add_argument(
-        "--no-block-step",
-        action="store_true",
-        help="evaluate the control loop quantum by quantum instead of "
-        "with the block-step kernel (overrides REPRO_BLOCK_STEP; "
-        "results are bit-identical either way — see "
-        "docs/PERFORMANCE.md)",
+        "are bit-identical either way); read by baseline, sweep, "
+        "amenability and figures, not by serve",
     )
     parser.add_argument(
         "--no-batch",
         action="store_true",
         help="run sweep tasks strictly one at a time instead of "
         "marching stable segments of many runs as one numpy batch "
-        "(overrides REPRO_BATCH; results are bit-identical either "
-        "way — see docs/PERFORMANCE.md)",
+        "(results are bit-identical either way — see "
+        "docs/PERFORMANCE.md)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -449,7 +444,6 @@ def _cmd_baseline(args) -> str:
         seed=args.seed,
         rate_cache=args.rate_cache,
         telemetry=args.telemetry,
-        block_step=args.block_step,
         batch=args.batch,
     )
     results = []
@@ -474,7 +468,6 @@ def _cmd_sweep(args) -> str:
         seed=args.seed,
         rate_cache=args.rate_cache,
         telemetry=args.telemetry,
-        block_step=args.block_step,
         batch=args.batch,
     )
     result = experiment.run_workload(workload)
@@ -510,7 +503,6 @@ def _cmd_amenability(args) -> str:
         seed=args.seed,
         rate_cache=args.rate_cache,
         telemetry=args.telemetry,
-        block_step=args.block_step,
         batch=args.batch,
     )
     result = experiment.run_workload(workload)
@@ -542,7 +534,6 @@ def _cmd_predict(args) -> str:
         seed=args.seed,
         slice_accesses=200_000,
         rate_cache=args.rate_cache,
-        block_step=args.block_step,
     )
     rates = runner.rates_for(workload, GatingState.ungated())
     predictor = CapImpactPredictor(runner.config)
@@ -645,7 +636,6 @@ def _cmd_figures(args) -> str:
         seed=args.seed,
         rate_cache=args.rate_cache,
         telemetry=args.telemetry,
-        block_step=args.block_step,
         batch=args.batch,
     )
     result = experiment.run_workload(workload)
@@ -1057,25 +1047,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     configure_logging(
         level=args.log_level, json_mode=True if args.log_json else None
     )
-    # Resolve the global telemetry flags into the TelemetryConfig (or
-    # None = read REPRO_TELEMETRY*) that experiment commands thread
-    # through to their runners.
+    # The global telemetry flags become the ``telemetry`` argument that
+    # the experiment commands pass to their runners.
     if args.no_telemetry:
-        args.telemetry = TelemetryConfig.resolve(False)
+        args.telemetry = TelemetryConfig(enabled=False)
     elif args.telemetry_period is not None:
-        base = TelemetryConfig.from_env()
-        args.telemetry = TelemetryConfig(
-            enabled=base.enabled,
-            period_s=args.telemetry_period,
-            capacity=base.capacity,
-        )
+        args.telemetry = TelemetryConfig(period_s=args.telemetry_period)
     else:
-        args.telemetry = None
-    # --no-block-step forces the scalar control loop; otherwise leave
-    # the runner to its default (REPRO_BLOCK_STEP, else on).
-    args.block_step = False if args.no_block_step else None
-    # --no-batch likewise forces per-run sweep execution; otherwise the
-    # experiment resolves REPRO_BATCH (default on).
+        args.telemetry = True
+    # --no-batch forces per-run sweep execution (default: batched).
     args.batch = False if args.no_batch else None
     collector = start_tracing() if args.trace_out else None
     handler = {

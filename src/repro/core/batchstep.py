@@ -35,14 +35,13 @@ parked at P0, and the floor caps marching at a pinned duty.
 
 ``tests/core/test_blockstep.py`` extends the scalar-vs-block matrix
 with a batched axis: batch-of-N results serialize byte-equal to the
-same runs executed serially.  ``--no-batch`` / ``REPRO_BATCH=0`` keep
+same runs executed serially.  ``--no-batch`` / ``batch=False`` keep
 the per-run path selectable at runtime.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -74,11 +73,8 @@ _CHUNK_MAX = 4096
 
 
 def batch_enabled(flag: "bool | None" = None) -> bool:
-    """Resolve the batch-engine switch (argument beats environment)."""
-    if flag is not None:
-        return bool(flag)
-    env = os.environ.get("REPRO_BATCH", "").strip().lower()
-    return env not in ("0", "false", "no", "off")
+    """Resolve the batch-engine switch (``None`` means on)."""
+    return True if flag is None else bool(flag)
 
 
 def _structural_key(kernel) -> tuple:
@@ -585,8 +581,8 @@ def run_sweep(
     ``[runner.run(w, c, rep=r) for w, c, r in tasks]`` — the batch
     engine only takes segments whose per-run evolution it reproduces
     exactly, and every run draws from its own named RNG streams.  With
-    ``batch`` false (or ``REPRO_BATCH=0``, or fewer than two tasks)
-    this *is* that serial loop.
+    ``batch`` false (or fewer than two tasks) this *is* that serial
+    loop.
     """
     if (
         not batch_enabled(batch)

@@ -35,9 +35,8 @@ the scalar path is interpreter and object-protocol overhead, not math.
 The contract is the repo's established one: **bit-identical results** —
 same arithmetic, same float association order, same RNG consumption —
 verified by ``tests/core/test_blockstep.py`` across workloads, caps,
-and telemetry settings.  The runner's ``block_step=False`` (CLI
-``--no-block-step``, env ``REPRO_BLOCK_STEP=0``) keeps the scalar path
-selectable at runtime.
+and telemetry settings.  The runner's ``block_step=False`` keeps the
+scalar path selectable as the reference.
 
 Exactness notes mirrored from the scalar code (do not "simplify"):
 

@@ -122,8 +122,7 @@ class PowerCapExperiment:
         config: NodeConfig | None = None,
         slice_accesses: int = 320_000,
         rate_cache: "RateCache | str | os.PathLike | None" = None,
-        telemetry: "TelemetryConfig | bool | None" = None,
-        block_step: bool | None = None,
+        telemetry: "TelemetryConfig | bool" = True,
         batch: bool | None = None,
     ) -> None:
         if not workloads:
@@ -145,7 +144,6 @@ class PowerCapExperiment:
             slice_accesses=slice_accesses,
             rate_cache=rate_cache,
             telemetry=telemetry,
-            block_step=block_step,
         )
 
     @property

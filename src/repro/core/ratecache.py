@@ -30,13 +30,12 @@ never dirty or rewrite the backing store.
 
 The file is bounded: every entry carries a last-used timestamp, and
 :meth:`save` evicts the least-recently-used entries beyond
-``max_entries`` (default :data:`RateCache.DEFAULT_MAX_ENTRIES`, or the
-``REPRO_RATE_CACHE_MAX`` environment variable), so long-lived service
-deployments that sweep many distinct (workload, geometry, gating)
-combinations never grow the cache without bound.  The cache also keeps
-:attr:`hits` / :attr:`misses` counters for telemetry; all public
-methods are thread-safe, so one instance can back all of the service's
-worker threads.
+``max_entries`` (default :data:`RateCache.DEFAULT_MAX_ENTRIES`), so
+long-lived service deployments that sweep many distinct (workload,
+geometry, gating) combinations never grow the cache without bound.
+The cache also keeps :attr:`hits` / :attr:`misses` counters for
+telemetry; all public methods are thread-safe, so one instance can back
+all of the service's worker threads.
 """
 
 from __future__ import annotations
@@ -137,9 +136,7 @@ class RateCache:
                 f"rate cache path is a directory: {self._path}"
             )
         if max_entries is None:
-            max_entries = int(
-                os.environ.get("REPRO_RATE_CACHE_MAX", self.DEFAULT_MAX_ENTRIES)
-            )
+            max_entries = self.DEFAULT_MAX_ENTRIES
         if max_entries < 1:
             raise SimulationError(
                 f"rate cache max_entries must be >= 1, got {max_entries}"

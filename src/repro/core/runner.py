@@ -34,9 +34,9 @@ from ..bmc.controller import CapController
 from ..bmc.sensors import PowerSensor
 from ..errors import SimulationError
 from ..mem.fastsim import TraceEngine
-from ..mem.hierarchy import AccessRates, MemoryHierarchy
+from ..mem.hierarchy import AccessRates
 from ..mem.latency import AccessCosts, stall_ns_per_instruction
-from ..mem.reconfig import GatingState, ReconfigEngine
+from ..mem.reconfig import GatingState
 from ..obs.logging import get_logger
 from ..obs.metrics import process_metrics
 from ..obs.timeseries import TelemetryConfig, TelemetrySampler
@@ -103,11 +103,10 @@ class NodeRunner:
         slice_accesses: int = 320_000,
         record_series: bool = False,
         max_sim_seconds: float = 250_000.0,
-        fast_engine: bool = True,
         fast_forward: bool = True,
         rate_cache: "RateCache | str | os.PathLike | None" = None,
-        telemetry: "TelemetryConfig | bool | None" = None,
-        block_step: bool | None = None,
+        telemetry: "TelemetryConfig | bool" = True,
+        block_step: bool = True,
     ) -> None:
         self._config = config or sandy_bridge_config()
         self._seed = int(seed)
@@ -115,18 +114,13 @@ class NodeRunner:
         self._slice_accesses = int(slice_accesses)
         self._record_series = record_series
         self._max_sim_seconds = float(max_sim_seconds)
-        self._fast_engine = bool(fast_engine)
         self._fast_forward = bool(fast_forward)
         if rate_cache is not None and not isinstance(rate_cache, RateCache):
             rate_cache = RateCache(rate_cache)
         self._rate_cache: RateCache | None = rate_cache
         self._telemetry = TelemetryConfig.resolve(telemetry)
-        # Block-stepped stable segments (bit-identical; see blockstep.py).
-        # Default on; ``False`` / ``REPRO_BLOCK_STEP=0`` restores the
-        # pure scalar loop.
-        if block_step is None:
-            env = os.environ.get("REPRO_BLOCK_STEP", "").strip().lower()
-            block_step = env not in ("0", "false", "no", "off")
+        # Block-stepped stable segments (bit-identical; see blockstep.py);
+        # ``False`` runs the pure scalar loop, the reference path.
         self._block_step = bool(block_step)
         self._slices: Dict[str, TraceSlice] = {}
         self._engines: Dict[str, TraceEngine] = {}
@@ -162,9 +156,10 @@ class NodeRunner:
     def rates_for(self, workload: Workload, gating: GatingState) -> AccessRates:
         """Steady-state per-instruction event rates under a gating.
 
-        Measured by pushing the workload's representative slice through
-        a fresh hierarchy configured to ``gating`` and discarding the
-        warmup region.  Cached per (workload, miss-relevant config).
+        Measured by the workload's :class:`~repro.mem.fastsim.TraceEngine`:
+        the counts of its representative slice on a hierarchy configured
+        to ``gating``, warmup region discarded.  Cached per (workload,
+        miss-relevant config).
         """
         key = (workload.name, gating.config_key())
         if key not in self._rates:
@@ -192,26 +187,16 @@ class NodeRunner:
                 gating=str(gating.config_key()),
             ):
                 sl = self._slice_for(workload)
-                if self._fast_engine:
-                    engine = self._engines.get(workload.name)
-                    if engine is None:
-                        engine = TraceEngine(self._config, sl)
-                        self._engines[workload.name] = engine
-                    counts = engine.counts(gating)
-                else:
-                    hierarchy = MemoryHierarchy(self._config)
-                    ReconfigEngine(self._config).apply(hierarchy, gating)
-                    d_warm, d_meas, i_warm, i_meas = sl.split_warmup()
-                    if len(sl.preload_addresses):
-                        hierarchy.simulate_data_trace(sl.preload_addresses)
-                    hierarchy.simulate_slice(d_warm, i_warm)
-                    counts = hierarchy.simulate_slice(d_meas, i_meas)
+                engine = self._engines.get(workload.name)
+                if engine is None:
+                    engine = TraceEngine(self._config, sl)
+                    self._engines[workload.name] = engine
+                counts = engine.counts(gating)
             process_metrics().traces_simulated.inc()
             _log.debug(
                 "trace_simulated",
                 workload=workload.name,
                 gating=str(gating.config_key()),
-                fast_engine=self._fast_engine,
             )
             self._rates[key] = AccessRates.from_counts(
                 counts, sl.measured_instructions

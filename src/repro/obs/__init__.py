@@ -19,7 +19,7 @@ subsystem threads through (see ``docs/OBSERVABILITY.md``):
 - :mod:`.timeseries` — bounded, downsampling in-run telemetry: the
   :class:`SeriesChannel` ring, :class:`RunTimeline`, and the
   :class:`TelemetrySampler` the runner feeds each control step
-  (``--telemetry-period`` / ``REPRO_TELEMETRY_*``);
+  (``--telemetry-period`` / ``--no-telemetry``);
 - :mod:`.detect` — phenomenon detectors scanning timelines for the
   paper's frequency-floor pinning, cap overshoot/settling, and
   energy-knee onset;

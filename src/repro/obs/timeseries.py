@@ -20,9 +20,8 @@ and without perturbing the simulation:
   fast-forwarded interval arrives as one long constant sample, so
   timelines have **no gaps** across fast-forwards and the power
   channel's integral still matches the scalar energy path.
-- :class:`TelemetryConfig` — the knobs (`REPRO_TELEMETRY`,
-  `REPRO_TELEMETRY_PERIOD`, `REPRO_TELEMETRY_CAPACITY`, or the CLI's
-  ``--telemetry-period`` / ``--no-telemetry``).
+- :class:`TelemetryConfig` — the knobs (a runner's ``telemetry``
+  argument, or the CLI's ``--telemetry-period`` / ``--no-telemetry``).
 
 Telemetry is pure observation: it draws no random numbers and touches
 no model state, so results are bit-identical with sampling on or off.
@@ -30,7 +29,6 @@ no model state, so results are bit-identical with sampling on or off.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 
@@ -78,9 +76,6 @@ STANDARD_CHANNELS: Dict[str, str] = {
     "dtlb_mpki": "misses/kinstr",
     "itlb_mpki": "misses/kinstr",
 }
-
-_TRUTHY = {"1", "true", "yes", "on"}
-_FALSY = {"0", "false", "no", "off"}
 
 
 def _sig(value: float) -> float:
@@ -628,25 +623,12 @@ class TelemetryConfig:
             raise SimulationError("telemetry capacity must be at least 8")
 
     @classmethod
-    def from_env(cls) -> "TelemetryConfig":
-        """Build from ``REPRO_TELEMETRY*`` (defaults when unset)."""
-        raw = os.environ.get("REPRO_TELEMETRY", "").strip().lower()
-        enabled = raw not in _FALSY if raw else True
-        period = float(os.environ.get("REPRO_TELEMETRY_PERIOD", 0.25) or 0.25)
-        capacity = int(os.environ.get("REPRO_TELEMETRY_CAPACITY", 256) or 256)
-        return cls(enabled=enabled, period_s=period, capacity=capacity)
-
-    @classmethod
-    def resolve(
-        cls, telemetry: "TelemetryConfig | bool | None"
-    ) -> "TelemetryConfig":
+    def resolve(cls, telemetry: "TelemetryConfig | bool") -> "TelemetryConfig":
         """Normalise the ``telemetry`` argument runners accept.
 
-        ``None`` reads the environment; ``True``/``False`` force the
-        default config on or off; a config passes through unchanged.
+        ``True``/``False`` give the default config on or off; a config
+        passes through unchanged.
         """
-        if telemetry is None:
-            return cls.from_env()
         if telemetry is True:
             return cls()
         if telemetry is False:

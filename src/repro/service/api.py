@@ -61,8 +61,6 @@ class ExperimentService:
         workers: int = 2,
         rate_cache: "str | os.PathLike | None" = None,
         max_attempts: int = 3,
-        slice_accesses: int = 320_000,
-        recover: bool = True,
         batch: "bool | None" = None,
         shards: int = 0,
         admission_rate: float = 200.0,
@@ -81,7 +79,6 @@ class ExperimentService:
             ShardPool(
                 n_shards,
                 rate_cache=rate_cache,
-                slice_accesses=slice_accesses,
                 batch=batch,
             )
             if n_shards >= 2
@@ -93,7 +90,6 @@ class ExperimentService:
             rate_cache=None if self._shard_pool is not None else rate_cache,
             metrics=self.metrics,
             max_attempts=max_attempts,
-            slice_accesses=slice_accesses,
             batch=batch,
             shard_pool=self._shard_pool,
         )
@@ -105,8 +101,7 @@ class ExperimentService:
         )
         self.admission.bind_drain_rate(self.scheduler.drain_rate)
         self.metrics.bind_admission(self.admission)
-        if recover:
-            self.scheduler.recover()
+        self.scheduler.recover()
         self.router = Router(self)
         self._frontend = AsyncFrontEnd(self, host, int(port))
 

@@ -34,11 +34,11 @@ from typing import Optional, Set, Tuple
 from ..obs.logging import get_logger
 from .routes import (
     MAX_BODY_BYTES,
+    JobStreamSession,
     Request,
     Response,
     Router,
     STREAM_POLL_S,
-    StreamStart,
     error_response,
 )
 
@@ -55,6 +55,14 @@ _MAX_HEADER_LINES = 100
 #: How long a connection closed after a bad request keeps discarding
 #: what the client still sends, so the answer is not lost to a reset.
 _LINGER_S = 2.0
+
+#: The head of every SSE response; the stream ends with the connection.
+_STREAM_HEAD = (
+    b"HTTP/1.1 200 OK\r\n"
+    b"Content-Type: text/event-stream\r\n"
+    b"Cache-Control: no-cache\r\n"
+    b"Connection: close\r\n\r\n"
+)
 
 
 class _BadRequest(Exception):
@@ -254,7 +262,7 @@ class AsyncFrontEnd:
             result = await asyncio.get_running_loop().run_in_executor(
                 None, self._router.dispatch, request
             )
-            if isinstance(result, StreamStart):
+            if isinstance(result, JobStreamSession):
                 await self._serve_stream(reader, writer, result)
                 return  # SSE responses are connection-delimited.
             self._write_response(writer, result, keep_alive)
@@ -368,7 +376,7 @@ class AsyncFrontEnd:
         self,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
-        start: StreamStart,
+        session: JobStreamSession,
     ) -> None:
         """Drive one stream session natively on the loop.
 
@@ -378,13 +386,7 @@ class AsyncFrontEnd:
         shutdown signal or the client's hang-up (EOF on ``reader``)
         arrives.
         """
-        session = start.session
-        phrase = _STATUS_PHRASES.get(start.status, "OK")
-        head = [f"HTTP/1.1 {start.status} {phrase}"]
-        head.append(f"Content-Type: {start.content_type}")
-        head.extend(f"{name}: {value}" for name, value in start.headers)
-        head.append("Connection: close")
-        writer.write(("\r\n".join(head) + "\r\n\r\n").encode())
+        writer.write(_STREAM_HEAD)
         loop = asyncio.get_running_loop()
         wake = asyncio.Event()
         stop = self._stop_streams

@@ -62,15 +62,20 @@ class JobState(str, Enum):
         return self in (JobState.DONE, JobState.FAILED, JobState.CANCELLED)
 
 
+#: Most caps a range may expand to; the paper's range has nine.
+MAX_RANGE_CAPS = 1000
+
+
 def caps_from_range(
     cap_max_w: float, cap_min_w: float, step_w: float = 5.0
 ) -> Tuple[float, ...]:
     """The descending cap list for an inclusive [min, max] range.
 
     Mirrors the paper's 160 -> 120 W walk: ``caps_from_range(160, 120)``
-    is exactly the nine studied caps.  Inverted ranges (min > max) and
-    non-positive steps raise :class:`~repro.errors.ConfigError` instead
-    of yielding an empty sweep silently.
+    is exactly the nine studied caps.  Inverted ranges (min > max),
+    non-positive steps and ranges of more than :data:`MAX_RANGE_CAPS`
+    caps raise :class:`~repro.errors.ConfigError` instead of yielding
+    an empty sweep silently or building an unbounded list.
     """
     try:
         hi, lo, step = float(cap_max_w), float(cap_min_w), float(step_w)
@@ -90,6 +95,14 @@ def caps_from_range(
     caps: List[float] = []
     cap = hi
     while cap >= lo - 1e-9:
+        # Counted on the walk itself: a count predicted from the bounds
+        # can be one off the float walk, and a step below the float
+        # spacing of ``hi`` would never end the walk.
+        if len(caps) == MAX_RANGE_CAPS:
+            raise ConfigError(
+                f"cap range {hi:g}..{lo:g} W by {step:g} W has more "
+                f"than {MAX_RANGE_CAPS} caps"
+            )
         caps.append(round(cap, 6))
         cap -= step
     return tuple(validate_caps(caps))
@@ -196,7 +209,6 @@ class JobSpec:
 def run_spec(
     spec: JobSpec,
     rate_cache: Optional[RateCache] = None,
-    slice_accesses: int = 320_000,
     batch: "bool | None" = None,
 ) -> Dict[str, dict]:
     """The spec's result document: ``{workload: experiment_to_dict(...)}``.
@@ -211,7 +223,6 @@ def run_spec(
         caps_w=spec.caps_w,
         repetitions=spec.repetitions,
         seed=spec.seed,
-        slice_accesses=slice_accesses,
         rate_cache=rate_cache,
         batch=batch,
     )

@@ -7,8 +7,8 @@ it:
 1. parse bytes into a :class:`Request`;
 2. call :meth:`Router.dispatch`;
 3. write back the :class:`Response`, or — for the SSE endpoint —
-   drive the returned :class:`StreamStart`'s session: write its
-   headers, then loop ``poll()`` / wait until ``done``.
+   drive the returned :class:`JobStreamSession`: write the stream's
+   fixed head, then loop ``poll()`` / wait until ``done``.
 
 The stream session is deliberately *poll-style*: a non-blocking
 ``poll`` holds the replay/terminal semantics, and the front end
@@ -45,7 +45,6 @@ from .jobs import JobSpec, JobState
 __all__ = [
     "Request",
     "Response",
-    "StreamStart",
     "JobStreamSession",
     "Router",
     "error_response",
@@ -140,18 +139,6 @@ class Response:
     @classmethod
     def text(cls, status: int, text: str, content_type: str) -> "Response":
         return cls(status, text.encode(), content_type)
-
-
-@dataclass
-class StreamStart:
-    """Dispatch result for the SSE endpoint: drive ``session`` to done."""
-
-    session: "JobStreamSession"
-    status: int = 200
-    content_type: str = "text/event-stream"
-    headers: List[Tuple[str, str]] = field(
-        default_factory=lambda: [("Cache-Control", "no-cache")]
-    )
 
 
 def error_response(status: int, message: str, **context) -> Response:
@@ -295,7 +282,7 @@ class Router:
 
     # -- dispatch ------------------------------------------------------
 
-    def dispatch(self, req: Request) -> Union[Response, StreamStart]:
+    def dispatch(self, req: Request) -> Union[Response, JobStreamSession]:
         """Route one request; never raises (500 is a Response too)."""
         try:
             return self._dispatch(req)
@@ -304,7 +291,7 @@ class Router:
                 req, 500, f"internal error: {type(exc).__name__}: {exc}"
             )
 
-    def _dispatch(self, req: Request) -> Union[Response, StreamStart]:
+    def _dispatch(self, req: Request) -> Union[Response, JobStreamSession]:
         parts = req.route
         if req.method == "GET":
             return self._dispatch_get(req, parts)
@@ -320,7 +307,7 @@ class Router:
 
     def _dispatch_get(
         self, req: Request, parts: Tuple[str, ...]
-    ) -> Union[Response, StreamStart]:
+    ) -> Union[Response, JobStreamSession]:
         service = self._service
         if parts == ("healthz",):
             return Response.json(
@@ -512,12 +499,10 @@ class Router:
 
     def _get_job_stream(
         self, req: Request, job_id: str
-    ) -> Union[Response, StreamStart]:
+    ) -> Union[Response, JobStreamSession]:
         job = self._service.scheduler.get(job_id)
         if job is None:
             return self._error(req, 404, f"no such job: {job_id}")
-        return StreamStart(
-            JobStreamSession(
-                self._service, job_id, self._last_event_id(req)
-            )
+        return JobStreamSession(
+            self._service, job_id, self._last_event_id(req)
         )

@@ -55,7 +55,6 @@ class ExperimentScheduler:
         metrics: Optional[ServiceMetrics] = None,
         max_attempts: int = 3,
         retry_backoff_s: float = 0.5,
-        slice_accesses: int = 320_000,
         batch: "bool | None" = None,
         shard_pool: Optional[ShardPool] = None,
     ) -> None:
@@ -69,7 +68,6 @@ class ExperimentScheduler:
         self.metrics = metrics or ServiceMetrics()
         self._max_attempts = max(1, int(max_attempts))
         self._retry_backoff_s = float(retry_backoff_s)
-        self._slice_accesses = int(slice_accesses)
         self._batch = batch
         self._jobs: Dict[str, Job] = {}
         #: The in-flight registry: spec digest -> {job id: job}, the
@@ -382,12 +380,7 @@ class ExperimentScheduler:
         if self._shard_pool is not None:
             # The first idle shard returns the document it serialized.
             return self._shard_pool.run(spec.to_dict())
-        return run_spec(
-            spec,
-            rate_cache=self._rate_cache,
-            slice_accesses=self._slice_accesses,
-            batch=self._batch,
-        )
+        return run_spec(spec, rate_cache=self._rate_cache, batch=self._batch)
 
     def _run_job(self, job: Job) -> None:
         """One attempt of a leader; settles its followers when terminal."""

@@ -71,7 +71,6 @@ def _shard_main(
     req_q,
     resp_q,
     rate_cache_path: Optional[str],
-    slice_accesses: int,
     batch: "bool | None",
 ) -> None:
     """One shard process: warm runner state, serve until sentinel.
@@ -93,10 +92,7 @@ def _shard_main(
             break
         try:
             doc = run_spec(
-                JobSpec.from_dict(msg["spec"]),
-                rate_cache=cache,
-                slice_accesses=slice_accesses,
-                batch=batch,
+                JobSpec.from_dict(msg["spec"]), rate_cache=cache, batch=batch
             )
             if cache is not None:
                 cache.save()
@@ -138,7 +134,6 @@ class ShardPool:
         self,
         shards: int,
         rate_cache: "str | os.PathLike | None" = None,
-        slice_accesses: int = 320_000,
         batch: "bool | None" = None,
     ) -> None:
         if shards < 2:
@@ -150,7 +145,6 @@ class ShardPool:
         self._rate_cache_base = (
             str(rate_cache) if rate_cache is not None else None
         )
-        self._slice_accesses = int(slice_accesses)
         self._batch = batch
         self._procs: List[mp.Process] = []
         self._req_qs: List = []
@@ -189,7 +183,6 @@ class ShardPool:
                     req_q,
                     resp_q,
                     self.partition_path(shard),
-                    self._slice_accesses,
                     self._batch,
                 ),
                 daemon=True,

@@ -185,27 +185,8 @@ def test_duty_steps_replayed_in_block():
     assert scalar.min_duty == block.min_duty < 1.0
 
 
-def test_env_escape_hatch(monkeypatch):
-    monkeypatch.setenv("REPRO_BLOCK_STEP", "0")
-    assert NodeRunner().block_step is False
-    monkeypatch.setenv("REPRO_BLOCK_STEP", "1")
-    assert NodeRunner().block_step is True
-    monkeypatch.delenv("REPRO_BLOCK_STEP")
-    assert NodeRunner().block_step is True
-    # An explicit argument beats the environment.
-    monkeypatch.setenv("REPRO_BLOCK_STEP", "0")
-    assert NodeRunner(block_step=True).block_step is True
-
-
-def test_cli_escape_hatch():
-    args = build_parser().parse_args(["--no-block-step", "sweep"])
-    assert args.no_block_step is True
-    args = build_parser().parse_args(["sweep"])
-    assert args.no_block_step is False
-
-
 def test_scalar_path_unchanged_by_flag():
-    """--no-block-step restores the old loop: zero kernel activity."""
+    """``block_step=False`` restores the old loop: zero kernel activity."""
     runner = NodeRunner(slice_accesses=SLICE_ACCESSES, block_step=False)
     _, _, _, block_steps, block_quanta = runner._run(
         _workload("stereo"), 130.0, 0
@@ -308,20 +289,11 @@ def test_chunked_warm_worker_matches_serial():
         assert _serialized(got) == _serialized(want)
 
 
-def test_batch_env_escape_hatch(monkeypatch):
+def test_batch_enabled_default_and_argument():
     from repro.core.batchstep import batch_enabled
 
-    monkeypatch.delenv("REPRO_BATCH", raising=False)
     assert batch_enabled() is True
-    for off in ("0", "false", "no", "off"):
-        monkeypatch.setenv("REPRO_BATCH", off)
-        assert batch_enabled() is False
-    monkeypatch.setenv("REPRO_BATCH", "1")
-    assert batch_enabled() is True
-    # An explicit argument beats the environment.
-    monkeypatch.setenv("REPRO_BATCH", "0")
     assert batch_enabled(True) is True
-    monkeypatch.delenv("REPRO_BATCH")
     assert batch_enabled(False) is False
 
 

@@ -304,7 +304,3 @@ class TestRateCacheLru:
 
         with _pytest.raises(SimulationError):
             RateCache(tmp_path / "rates.json", max_entries=0)
-
-    def test_env_var_sets_default_cap(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_RATE_CACHE_MAX", "7")
-        assert RateCache(tmp_path / "rates.json").max_entries == 7

@@ -282,17 +282,7 @@ class TestTelemetryConfig:
         with pytest.raises(SimulationError):
             TelemetryConfig(capacity=2)
 
-    def test_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TELEMETRY", "off")
-        monkeypatch.setenv("REPRO_TELEMETRY_PERIOD", "0.5")
-        monkeypatch.setenv("REPRO_TELEMETRY_CAPACITY", "64")
-        cfg = TelemetryConfig.from_env()
-        assert not cfg.enabled
-        assert cfg.period_s == 0.5 and cfg.capacity == 64
-
-    def test_resolve(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
-        assert TelemetryConfig.resolve(None).enabled
+    def test_resolve(self):
         assert TelemetryConfig.resolve(True) == TelemetryConfig()
         assert not TelemetryConfig.resolve(False).enabled
         custom = TelemetryConfig(period_s=2.0)

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.service.api import ExperimentService
-from repro.service.routes import Request, StreamStart
+from repro.service.routes import JobStreamSession, Request
 
 SERVICE_DOC = Path(__file__).resolve().parents[2] / "docs" / "SERVICE.md"
 
@@ -250,6 +250,16 @@ class TestErrorPaths:
         )
         assert "inverted cap range" in body["error"]
 
+    def test_unbounded_range_400(self, service):
+        spec = {
+            "workload": "stereo",
+            "cap_max_w": 160,
+            "cap_min_w": 120,
+            "cap_step_w": 1e-9,
+        }
+        body = self.expect_status(service, "POST", "/jobs", spec, 400)
+        assert "more than 1000 caps" in body["error"]
+
     def test_invalid_json_400(self, service):
         req = urllib.request.Request(
             service.url + "/jobs", data=b"{nope", method="POST"
@@ -310,8 +320,8 @@ class TestDocumentedEndpoints:
         for method, path in rows:
             target = path.replace("{id}", "no-such-id")
             result = service.router.dispatch(Request(method, target))
-            if isinstance(result, StreamStart):
-                result.session.close()
+            if isinstance(result, JobStreamSession):
+                result.close()
             elif result.status >= 400:
                 error = json.loads(result.body)["error"]
                 assert result.status != 405, (method, path, error)

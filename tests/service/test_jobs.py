@@ -9,11 +9,13 @@ import pytest
 from repro.config import PAPER_POWER_CAPS_W
 from repro.errors import ConfigError
 from repro.service.jobs import (
+    MAX_RANGE_CAPS,
     Job,
     JobQueue,
     JobSpec,
     JobState,
     caps_from_range,
+    run_spec,
 )
 
 
@@ -93,6 +95,52 @@ class TestCapsFromRange:
 
     def test_single_cap_range(self):
         assert caps_from_range(150, 150) == (150.0,)
+
+    def test_default_step_is_the_paper_range(self):
+        assert caps_from_range(160, 120) == tuple(PAPER_POWER_CAPS_W)
+
+    def test_range_above_the_bound_rejected(self):
+        # 4,001 caps: refused before the list grows past the bound.
+        with pytest.raises(ConfigError, match="more than 1000 caps"):
+            caps_from_range(160, 120, 0.01)
+
+    def test_range_at_the_bound_accepted(self):
+        caps = caps_from_range(MAX_RANGE_CAPS, 1, 1)
+        assert caps == tuple(float(c) for c in range(MAX_RANGE_CAPS, 0, -1))
+        with pytest.raises(ConfigError, match="more than 1000 caps"):
+            caps_from_range(MAX_RANGE_CAPS + 1, 1, 1)
+
+    def test_step_below_float_spacing_rejected(self):
+        # 160 - 1e-20 == 160: the walk alone would never end.
+        with pytest.raises(ConfigError, match="more than 1000 caps"):
+            caps_from_range(160, 160, 1e-20)
+
+
+def _without_provenance(doc):
+    return {
+        name: {k: v for k, v in result.items() if k != "provenance"}
+        for name, result in doc.items()
+    }
+
+
+class TestRunSpec:
+    def test_document_ignores_the_environment(self, monkeypatch):
+        """A result depends on its spec alone: no ``REPRO_*`` reaches it."""
+        spec = JobSpec(workload="stereo", caps_w=(150.0,), scale=0.002)
+        switches = {
+            "REPRO_TELEMETRY": "0",
+            "REPRO_TELEMETRY_PERIOD": "2.0",
+            "REPRO_BLOCK_STEP": "0",
+            "REPRO_BATCH": "0",
+        }
+        for name in switches:
+            monkeypatch.delenv(name, raising=False)
+        clean = _without_provenance(run_spec(spec))
+        timeline = clean["StereoMatching"]["baseline"]["timeline"]
+        assert timeline["period_s"] == 0.25
+        for name, value in switches.items():
+            monkeypatch.setenv(name, value)
+        assert _without_provenance(run_spec(spec)) == clean
 
 
 def make_job(priority=0):

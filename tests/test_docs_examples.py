@@ -230,7 +230,9 @@ class TestDocReferences:
         """A documented ``REPRO_*`` variable is one the code still reads.
 
         ``REPRO_LOG_*`` names a family, so a name that ends in ``_``
-        only needs some variable with that prefix.
+        only needs some variable with that prefix.  Every variable the
+        library reads (``tests/test_lint_guards.py`` pins the set) must
+        be documented.
         """
         code = "".join(
             path.read_text()
@@ -244,7 +246,8 @@ class TestDocReferences:
                 set(re.findall(r"REPRO_[A-Z_]+", path.read_text()))
             )
         ]
-        assert len({name for _, name in documented}) >= 10, documented
+        read = {"REPRO_RATE_CACHE", "REPRO_LOG_LEVEL", "REPRO_LOG_JSON"}
+        assert read <= {name for _, name in documented}, documented
         for path, name in documented:
             end = "" if name.endswith("_") else r"\b"
             assert re.search(rf"\b{name}{end}", code), f"{path.name} names {name}"

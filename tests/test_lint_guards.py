@@ -9,6 +9,7 @@ entry points are the one sanctioned home for ``print`` (their stdout
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
@@ -35,3 +36,30 @@ def test_no_bare_print_outside_cli_modules():
         "bare print() in library code — use repro.obs.logging instead:\n"
         + "\n".join(offenders)
     )
+
+
+#: The environment variables library code reads: deployment settings
+#: that change no result.  Anything that selects an engine path is an
+#: argument, so a stored result depends only on its spec and the code.
+ENVIRONMENT_ALLOWED = {"REPRO_RATE_CACHE", "REPRO_LOG_LEVEL", "REPRO_LOG_JSON"}
+
+
+def _environment_keys(tree):
+    """The key of every ``os.environ`` / ``os.getenv`` lookup in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and node.args:
+            if ast.unparse(node.func) in ("os.environ.get", "os.getenv"):
+                yield node.args[0]
+        elif isinstance(node, ast.Subscript):
+            if ast.unparse(node.value) == "os.environ":
+                yield node.slice
+
+
+def test_environment_reads_are_deployment_settings():
+    names = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for key in _environment_keys(ast.parse(path.read_text())):
+            where = f"{path.relative_to(SRC)}:{key.lineno}"
+            assert isinstance(key, ast.Constant), f"{where}: computed key"
+            names.add(key.value)
+    assert names == ENVIRONMENT_ALLOWED
