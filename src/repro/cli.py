@@ -26,14 +26,15 @@ reproducibility.  ``sweep`` and ``baseline`` take ``--format json``
 for structured output that round-trips through
 :mod:`repro.core.serialize` (the table stays the default).
 
-Observability flags (global; see docs/OBSERVABILITY.md): ``--log-level``
-and ``--log-json`` configure structured logging on stderr (overriding
-``REPRO_LOG_LEVEL`` / ``REPRO_LOG_JSON``); ``--trace-out PATH`` records
-every engine span — plus telemetry counter tracks — and writes a Chrome
-``trace_event`` profile on exit; ``--telemetry-period`` /
-``--no-telemetry`` control in-run telemetry sampling for ``baseline``,
-``sweep``, ``amenability`` and ``figures`` (a served job always records
-the default telemetry).
+Observability flags (see docs/OBSERVABILITY.md): the global
+``--log-level`` and ``--log-json`` configure structured logging on
+stderr (overriding ``REPRO_LOG_LEVEL`` / ``REPRO_LOG_JSON``), and the
+global ``--trace-out PATH`` records every engine span — plus telemetry
+counter tracks — and writes a Chrome ``trace_event`` profile on exit.
+``--telemetry-period`` / ``--no-telemetry`` control in-run telemetry
+sampling; they are options of ``baseline``, ``sweep``, ``amenability``
+and ``figures``, written after the subcommand (a served job always
+records the default telemetry).
 """
 
 from __future__ import annotations
@@ -123,22 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
         "profile (load in chrome://tracing or ui.perfetto.dev)",
     )
     parser.add_argument(
-        "--telemetry-period",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="simulated seconds per telemetry timeline sample "
-        "(default 0.25); read by baseline, sweep, amenability and "
-        "figures, not by serve",
-    )
-    parser.add_argument(
-        "--no-telemetry",
-        action="store_true",
-        help="disable in-run telemetry timelines (simulation results "
-        "are bit-identical either way); read by baseline, sweep, "
-        "amenability and figures, not by serve",
-    )
-    parser.add_argument(
         "--no-batch",
         action="store_true",
         help="run sweep tasks strictly one at a time instead of "
@@ -148,7 +133,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    baseline = sub.add_parser("baseline", help="Table I: uncapped baselines")
+    # Options of the four commands whose sweeps record telemetry.
+    telemetry = argparse.ArgumentParser(add_help=False)
+    telemetry.add_argument(
+        "--telemetry-period",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="simulated seconds per telemetry timeline sample "
+        "(default 0.25)",
+    )
+    telemetry.add_argument(
+        "--no-telemetry",
+        action="store_true",
+        help="disable in-run telemetry timelines (simulation results "
+        "are bit-identical either way)",
+    )
+
+    baseline = sub.add_parser(
+        "baseline", help="Table I: uncapped baselines", parents=[telemetry]
+    )
     baseline.add_argument(
         "--format",
         choices=("table", "json"),
@@ -156,7 +160,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (json round-trips via repro.core.serialize)",
     )
 
-    sweep = sub.add_parser("sweep", help="Table II: the cap sweep")
+    sweep = sub.add_parser(
+        "sweep", help="Table II: the cap sweep", parents=[telemetry]
+    )
     sweep.add_argument(
         "--workload", choices=sorted(_WORKLOADS), default="stereo"
     )
@@ -184,7 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     amen = sub.add_parser(
-        "amenability", help="characterise amenability to capping"
+        "amenability",
+        help="characterise amenability to capping",
+        parents=[telemetry],
     )
     amen.add_argument(
         "--workload", choices=sorted(_WORKLOADS), default="stereo"
@@ -227,7 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
     detect.add_argument("--cap", type=float, required=True)
 
     figures = sub.add_parser(
-        "figures", help="render Figures 1/2 as terminal charts"
+        "figures",
+        help="render Figures 1/2 as terminal charts",
+        parents=[telemetry],
     )
     figures.add_argument(
         "--workload", choices=sorted(_WORKLOADS), default="sire"
@@ -332,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--db",
         default="repro-service.sqlite3",
-        help="result store: a SQLite path (default), sqlite://PATH, or "
-        "memory:// for an ephemeral in-process store",
+        help="result store: a SQLite file path, or memory:// for an "
+        "in-memory database that ends with the process",
     )
     serve.add_argument(
         "--max-attempts",
@@ -1047,11 +1057,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     configure_logging(
         level=args.log_level, json_mode=True if args.log_json else None
     )
-    # The global telemetry flags become the ``telemetry`` argument that
-    # the experiment commands pass to their runners.
-    if args.no_telemetry:
+    # The telemetry options become the ``telemetry`` argument that the
+    # experiment commands pass to their runners.
+    if getattr(args, "no_telemetry", False):
         args.telemetry = TelemetryConfig(enabled=False)
-    elif args.telemetry_period is not None:
+    elif getattr(args, "telemetry_period", None) is not None:
         args.telemetry = TelemetryConfig(period_s=args.telemetry_period)
     else:
         args.telemetry = True

@@ -54,11 +54,13 @@ def _phase_delta(before: dict, after: dict) -> Dict[str, float]:
 def validate_caps(
     caps_w: Sequence[float], *, allow_empty: bool = False
 ) -> List[float]:
-    """Validate a cap sweep; returns the caps as floats.
+    """Validate a cap sweep; returns the caps as floats, each once.
 
     An empty sweep is rejected unless ``allow_empty`` (a baseline-only
     experiment legitimately sweeps no caps); every cap must be a
-    finite positive number of Watts.  Raises
+    finite positive number of Watts.  A repeated cap keeps its first
+    place: the sweep keeps one row per cap, so a copy would only be
+    simulated again.  Raises
     :class:`~repro.errors.ConfigError` — previously a bad ``--caps``
     list produced an empty sweep (or a hung run) silently.
     """
@@ -75,7 +77,7 @@ def validate_caps(
             raise ConfigError(
                 f"power caps must be finite and > 0 W, got {cap!r}"
             )
-    return caps
+    return list(dict.fromkeys(caps))
 
 
 @dataclass

@@ -15,8 +15,8 @@ health and throughput as Prometheus metrics.
   executing each spec digest at most once at a time;
 - :mod:`.shards` — worker processes, each job going to any idle one,
   each owning its own rate-cache file;
-- :mod:`.store` — the pluggable result store (SQLite default,
-  in-memory for tests; URL-selected via :func:`open_store`);
+- :mod:`.store` — the result store, one SQLite database: a file, or
+  ``memory://`` for one that ends with the process;
 - :mod:`.admission` — token-bucket rate limiting and bounded-queue
   backpressure in front of every submission;
 - :mod:`.routes` — the HTTP API, apart from the transport;
@@ -30,13 +30,7 @@ from .admission import Admission, AdmissionController, TokenBucket
 from .jobs import Job, JobQueue, JobSpec, JobState, caps_from_range
 from .scheduler import ExperimentScheduler
 from .shards import ShardPool, effective_shard_count
-from .store import (
-    MemoryResultStore,
-    ResultStore,
-    ResultStoreBase,
-    SQLiteResultStore,
-    open_store,
-)
+from .store import ResultStore
 from .api import ExperimentService
 
 __all__ = [
@@ -52,10 +46,6 @@ __all__ = [
     "ExperimentScheduler",
     "ShardPool",
     "effective_shard_count",
-    "MemoryResultStore",
     "ResultStore",
-    "ResultStoreBase",
-    "SQLiteResultStore",
-    "open_store",
     "ExperimentService",
 ]

@@ -36,7 +36,7 @@ from .asyncapi import AsyncFrontEnd
 from .routes import Router
 from .scheduler import ExperimentScheduler
 from .shards import ShardPool, effective_shard_count
-from .store import open_store
+from .store import ResultStore
 
 __all__ = ["ExperimentService"]
 
@@ -67,7 +67,7 @@ class ExperimentService:
         admission_burst: float = 400.0,
         max_queue_depth: int = 1024,
     ) -> None:
-        self.store = open_store(db_path)
+        self.store = ResultStore(db_path)
         self.metrics = ServiceMetrics()
         self._stopping = threading.Event()
         self._stopped = threading.Event()

@@ -37,7 +37,7 @@ from ..obs.stream import JOB_TOPIC_PREFIX, event_bus, stream_context
 from ..obs.tracing import span
 from .jobs import Job, JobQueue, JobSpec, JobState, run_spec
 from .shards import ShardPool
-from .store import ResultStoreBase
+from .store import ResultStore
 
 __all__ = ["ExperimentScheduler"]
 
@@ -49,7 +49,7 @@ class ExperimentScheduler:
 
     def __init__(
         self,
-        store: ResultStoreBase,
+        store: ResultStore,
         workers: int = 2,
         rate_cache: "RateCache | str | os.PathLike | None" = None,
         metrics: Optional[ServiceMetrics] = None,

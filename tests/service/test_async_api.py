@@ -29,7 +29,7 @@ import pytest
 from repro.core.experiment import PowerCapExperiment
 from repro.core.serialize import experiment_to_dict
 from repro.service.api import ExperimentService
-from repro.service.store import SQLiteResultStore
+from repro.service.store import ResultStore
 from repro.workloads import make_workload
 
 SPEC = {
@@ -482,7 +482,7 @@ class TestGracefulShutdown:
 
         # The queue was discarded, not lost: every job is back in the
         # store as QUEUED, ready for recovery on the next boot.
-        reopened = SQLiteResultStore(db)
+        reopened = ResultStore(db)
         try:
             pending = {j.id for j in reopened.pending_jobs()}
             assert set(job_ids) <= pending

@@ -7,7 +7,9 @@ import time
 import pytest
 
 from repro.config import PAPER_POWER_CAPS_W
+from repro.core.experiment import validate_caps
 from repro.errors import ConfigError
+from repro.obs.metrics import process_metrics
 from repro.service.jobs import (
     MAX_RANGE_CAPS,
     Job,
@@ -141,6 +143,27 @@ class TestRunSpec:
         for name, value in switches.items():
             monkeypatch.setenv(name, value)
         assert _without_provenance(run_spec(spec)) == clean
+
+
+class TestRepeatedCaps:
+    """A cap given twice is one cap: one digest, one row, one simulation."""
+
+    def test_first_occurrence_kept_in_order(self):
+        assert validate_caps([150, 140, 150]) == [150.0, 140.0]
+
+    def test_repeats_share_the_digest(self):
+        assert JobSpec(caps_w=(150, 150, 150)).digest() == JobSpec(
+            caps_w=(150,)
+        ).digest()
+
+    def test_repeated_cap_is_simulated_once(self):
+        runs = process_metrics().runs
+        before = runs.value
+        run_spec(
+            JobSpec(workload="stereo", caps_w=(150, 150, 150), scale=0.003)
+        )
+        # The baseline and the one cap.
+        assert runs.value - before == 2
 
 
 def make_job(priority=0):

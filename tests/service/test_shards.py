@@ -302,7 +302,7 @@ class TestShardedService:
 
         # The same spec through a plain unsharded scheduler stores the
         # same bytes (provenance aside).
-        from repro.service.store import MemoryResultStore
+        from repro.service.store import ResultStore
 
         workload = make_workload(SPEC.workload, SPEC.scale)
         direct = PowerCapExperiment(
@@ -311,12 +311,13 @@ class TestShardedService:
             repetitions=SPEC.repetitions,
             seed=SPEC.seed,
         ).run_all()
-        reference = MemoryResultStore()
+        reference = ResultStore("memory://")
         reference.put_result(
             SPEC.digest(),
             {name: experiment_to_dict(r) for name, r in direct.items()},
         )
         expected = reference.get_result_dict(SPEC.digest())
+        reference.close()
         for docs in (served, expected):
             for payload in docs.values():
                 payload.pop("provenance")

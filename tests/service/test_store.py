@@ -1,4 +1,4 @@
-"""SQLite result store: round-trips, dedup, job records, old files.
+"""SQLite result store: round-trips, dedup, job records, old files, crashes.
 
 The round-trip tests double as the :mod:`repro.core.serialize`
 coverage the store relies on: an :class:`ExperimentResult` serialized,
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import sqlite3
 import subprocess
 import sys
@@ -26,7 +27,7 @@ from repro.core.serialize import experiment_to_dict
 from repro.perf.events import PapiEvent
 from repro.service.jobs import Job, JobSpec, JobState
 from repro.service.scheduler import ExperimentScheduler
-from repro.service.store import ResultStore, ResultStoreBase
+from repro.service.store import ResultStore, _job_to_record
 
 
 def make_row(cap, time_s):
@@ -62,9 +63,27 @@ def as_doc(sweeps):
     return {name: experiment_to_dict(r) for name, r in sweeps.items()}
 
 
+def stored_json(path, spec_digest):
+    """The ``result_json`` text a store file holds for a digest, or None."""
+    with closing(sqlite3.connect(path)) as conn:
+        row = conn.execute(
+            "SELECT result_json FROM results WHERE spec_digest = ?",
+            (spec_digest,),
+        ).fetchone()
+    return row[0] if row else None
+
+
+def child_env():
+    """The environment a child process needs to import this checkout."""
+    src = Path(repro.__file__).resolve().parents[1]
+    return {**os.environ, "PYTHONPATH": str(src)}
+
+
 @pytest.fixture
 def store(tmp_path):
-    return ResultStore(tmp_path / "svc.sqlite3")
+    store = ResultStore(tmp_path / "svc.sqlite3")
+    yield store
+    store.close()
 
 
 class TestResultRoundTrip:
@@ -141,16 +160,6 @@ class TestJobRecords:
     def test_unknown_job_is_none(self, store):
         assert store.get_job("missing") is None
 
-    def test_counts_by_state(self, store):
-        for state in (JobState.QUEUED, JobState.QUEUED, JobState.DONE):
-            job = Job(spec=JobSpec(caps_w=(150.0,)))
-            job.state = state
-            store.record_job(job)
-        counts = store.counts_by_state()
-        assert counts["queued"] == 2
-        assert counts["done"] == 1
-        assert counts["failed"] == 0
-
     def test_pending_jobs_for_recovery(self, store):
         queued = Job(spec=JobSpec(caps_w=(150.0,)))
         running = Job(spec=JobSpec(caps_w=(140.0,)))
@@ -161,13 +170,6 @@ class TestJobRecords:
             store.record_job(j)
         pending = {j.id for j in store.pending_jobs()}
         assert pending == {queued.id, running.id}
-
-    def test_list_jobs_newest_first(self, store):
-        old = Job(spec=JobSpec(caps_w=(150.0,)), created_at=100.0)
-        new = Job(spec=JobSpec(caps_w=(140.0,)), created_at=200.0)
-        store.record_job(old)
-        store.record_job(new)
-        assert [j.id for j in store.list_jobs()] == [new.id, old.id]
 
 
 #: The schema of a store file written while every result was also
@@ -227,12 +229,11 @@ class TestExitWithoutClose:
         doc = as_doc({"StereoMatching": make_result()})
         doc_path = tmp_path / "doc.json"
         doc_path.write_text(json.dumps(doc))
-        src = Path(repro.__file__).resolve().parents[1]
         proc = subprocess.run(
             [sys.executable, "-c", _EXIT_WITHOUT_CLOSE, str(path), str(doc_path)],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
+            env=child_env(),
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
@@ -241,10 +242,92 @@ class TestExitWithoutClose:
         store = ResultStore(path)
         job = store.get_job(proc.stdout.strip())
         assert job is not None and job.created_at == 100.0
-        assert store._get_result_json(job.spec_digest) == json.dumps(
+        assert stored_json(path, job.spec_digest) == json.dumps(
             doc, sort_keys=True
         )
         store.close()
+
+
+#: Records a job and puts its result on a fresh digest, over and over,
+#: printing each job id once its result has committed.  It runs until
+#: it is killed.
+_WRITE_UNTIL_KILLED = """
+import json, sys
+from repro.service.jobs import Job, JobSpec
+from repro.service.store import ResultStore
+store = ResultStore(sys.argv[1])
+with open(sys.argv[2]) as f:
+    doc = json.load(f)
+seed = 0
+while True:
+    job = Job(spec=JobSpec(caps_w=(150.0,), scale=0.01, seed=seed))
+    store.record_job(job)
+    store.put_result(job.spec_digest, doc)
+    print(job.id, flush=True)
+    seed += 1
+"""
+
+
+class TestKilledMidWrite:
+    """A store file killed by SIGKILL mid-write opens whole and recovers."""
+
+    def test_commits_survive_and_recover(self, tmp_path):
+        path = tmp_path / "svc.sqlite3"
+        doc = as_doc({"StereoMatching": make_result()})
+        doc_path = tmp_path / "doc.json"
+        doc_path.write_text(json.dumps(doc))
+        with subprocess.Popen(
+            [sys.executable, "-c", _WRITE_UNTIL_KILLED, str(path), str(doc_path)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=child_env(),
+        ) as proc:
+            ids = []
+            while len(ids) < 20:
+                line = proc.stdout.readline()
+                if not line:
+                    break
+                ids.append(line.strip())
+            # Still writing: the kill lands somewhere in its loop of
+            # commits, not after a clean exit.
+            alive = proc.poll() is None
+            proc.send_signal(signal.SIGKILL)
+            rest, err = proc.communicate(timeout=60)
+        assert alive, err
+        assert len(ids) == 20, err
+        assert proc.returncode == -signal.SIGKILL
+        ids += rest.split()
+
+        with closing(sqlite3.connect(path)) as conn:
+            assert conn.execute("PRAGMA integrity_check").fetchone()[0] == "ok"
+        store = ResultStore(path)
+        try:
+            stored = json.dumps(doc, sort_keys=True)
+            for job_id in ids:
+                job = store.get_job(job_id)
+                assert job is not None and job.state is JobState.QUEUED
+                assert stored_json(path, job.spec_digest) == stored
+            # The child records every job QUEUED.  The kill can cut at
+            # most one iteration short: a job recorded without its
+            # result, or one whose result committed before its id was
+            # printed.
+            pending = store.pending_jobs()
+            assert set(ids) <= {j.id for j in pending}
+            assert len(pending) - len(ids) <= 1
+
+            scheduler = ExperimentScheduler(store)  # never started
+            assert scheduler.recover() == len(pending)
+            for job in pending:
+                recovered = scheduler.get(job.id)
+                if store.has_result(job.spec_digest):
+                    assert recovered.state is JobState.DONE
+                    assert recovered.deduplicated
+                else:
+                    assert job.id not in ids
+                    assert recovered.state is JobState.QUEUED
+        finally:
+            store.close()
 
 
 class TestRowsEraStoreFile:
@@ -261,7 +344,7 @@ class TestRowsEraStoreFile:
         with closing(sqlite3.connect(path)) as conn, conn:
             conn.executescript(_ROWS_ERA_SCHEMA)
             for job in (queued, done):
-                rec = ResultStoreBase._job_to_record(job)
+                rec = _job_to_record(job)
                 rec["spec_json"] = json.dumps(
                     {**spec.to_dict(), "jobs": 1}, sort_keys=True
                 )

@@ -1,10 +1,8 @@
-"""ResultStore conformance suite, parameterized over every backend.
+"""ResultStore conformance suite, over a file and ``memory://``.
 
-The pluggable-store contract: any backend reachable through
-``open_store`` must behave identically for job CRUD, result dedup,
-concurrent writers, and — the property everything else leans on —
-byte-identical storage of serialized sweep documents.  A future
-Postgres backend plugs into this suite unchanged.
+Both forms of the one store must behave identically for job CRUD,
+result dedup, concurrent writers, and — the property everything else
+leans on — byte-identical storage of serialized sweep documents.
 """
 
 from __future__ import annotations
@@ -19,26 +17,21 @@ from repro.core.experiment import PowerCapExperiment
 from repro.core.serialize import experiment_to_dict
 from repro.errors import ConfigError
 from repro.service.jobs import Job, JobSpec, JobState
-from repro.service.store import (
-    MemoryResultStore,
-    ResultStore,
-    ResultStoreBase,
-    SQLiteResultStore,
-    open_store,
-)
+from repro.service.store import ResultStore
 from repro.workloads import make_workload
 
 from .test_store import as_doc
 
-BACKENDS = ("sqlite", "memory")
+#: The two forms of a store's path: "sqlite" is a database file.
+FORMS = ("sqlite", "memory")
 
 
-@pytest.fixture(params=BACKENDS)
+@pytest.fixture(params=FORMS)
 def store(request, tmp_path):
     if request.param == "sqlite":
-        store = SQLiteResultStore(tmp_path / "conformance.sqlite3")
+        store = ResultStore(tmp_path / "conformance.sqlite3")
     else:
-        store = MemoryResultStore()
+        store = ResultStore("memory://")
     yield store
     store.close()
 
@@ -74,23 +67,6 @@ class TestJobCrud:
         job.finished_at = 123.0
         store.record_job(job)
         assert store.get_job(job.id).state is JobState.DONE
-
-    def test_list_jobs_newest_first(self, store):
-        jobs = [Job(spec=JobSpec(workload="stereo")) for _ in range(3)]
-        for i, job in enumerate(jobs):
-            job.created_at = 1000.0 + i
-            store.record_job(job)
-        listed = store.list_jobs()
-        assert [j.id for j in listed[:3]] == [j.id for j in reversed(jobs)]
-
-    def test_counts_by_state(self, store):
-        done = Job(spec=JobSpec(workload="stereo"), state=JobState.DONE)
-        queued = Job(spec=JobSpec(workload="sire"))
-        store.record_job(done)
-        store.record_job(queued)
-        counts = store.counts_by_state()
-        assert counts.get("done") == 1
-        assert counts.get("queued") == 1
 
     def test_pending_jobs_covers_queued_and_running(self, store):
         states = {
@@ -144,11 +120,15 @@ class TestConcurrency:
         """Writers on many threads: every job and result survives."""
         doc = as_doc(sweeps[1])
         errors = []
+        jobs = [
+            Job(spec=JobSpec(workload="stereo", seed=7000 + k))
+            for k in range(16)
+        ]
 
         def write(k: int) -> None:
             try:
-                spec = JobSpec(workload="stereo", seed=7000 + k)
-                job = Job(spec=spec)
+                job = jobs[k]
+                spec = job.spec
                 store.record_job(job)
                 store.put_result(spec.digest(), doc)
                 assert store.get_job(job.id).spec == spec
@@ -171,7 +151,8 @@ class TestConcurrency:
         assert not any(t.is_alive() for t in threads)
         assert not errors
         assert store.result_count() == 16
-        assert len(store.list_jobs()) == 16
+        for job in jobs:
+            assert store.get_job(job.id).to_dict() == job.to_dict()
 
 
 class TestLifecycle:
@@ -181,10 +162,12 @@ class TestLifecycle:
 
 
 class TestOpenStore:
+    """A store opens a file path or ``memory://``, and nothing else."""
+
     def test_bare_path_is_sqlite(self, tmp_path):
-        store = open_store(tmp_path / "s.sqlite3")
-        assert isinstance(store, SQLiteResultStore)
-        assert store.backend == "sqlite"
+        path = tmp_path / "s.sqlite3"
+        store = ResultStore(path)
+        assert store.path == str(path)
         # The store's one connection: connect(timeout=30.0) is its whole
         # lock-wait policy, and the file is in WAL mode.
         with store._connect() as conn:
@@ -192,24 +175,19 @@ class TestOpenStore:
             assert conn.execute("PRAGMA journal_mode").fetchone()[0] == "wal"
         store.close()
 
-    def test_sqlite_url(self, tmp_path):
-        store = open_store(f"sqlite://{tmp_path}/s.sqlite3")
-        assert isinstance(store, SQLiteResultStore)
+    def test_memory_url(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        store = ResultStore("memory://")
+        assert store.path == "memory://"
+        with store._connect() as conn:
+            assert conn.execute("PRAGMA busy_timeout").fetchone()[0] == 30000
+            assert conn.execute("PRAGMA database_list").fetchone()["file"] == ""
+        store.close()
+        assert list(tmp_path.iterdir()) == []
 
-    def test_memory_url(self):
-        store = open_store("memory://")
-        assert isinstance(store, MemoryResultStore)
-        assert store.backend == "memory"
-
-    def test_instance_passthrough(self):
-        store = MemoryResultStore()
-        assert open_store(store) is store
-
-    def test_postgres_not_wired_yet(self):
-        with pytest.raises(ConfigError):
-            open_store("postgres://db.example/repro")
-
-    def test_compat_alias(self):
-        assert ResultStore is SQLiteResultStore
-        assert issubclass(SQLiteResultStore, ResultStoreBase)
-        assert issubclass(MemoryResultStore, ResultStoreBase)
+    def test_other_schemes_are_rejected(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for url in ("postgres://db.example/repro", "sqlite://svc.sqlite3"):
+            with pytest.raises(ConfigError, match="file path or memory://"):
+                ResultStore(url)
+        assert list(tmp_path.iterdir()) == []

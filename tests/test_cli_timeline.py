@@ -36,12 +36,34 @@ class TestParser:
         assert not args.csv and not args.ascii
 
     def test_global_telemetry_flags(self):
+        """The telemetry options are not global: they follow the
+        subcommand, whose sweep reads them."""
         args = build_parser().parse_args(
-            ["--telemetry-period", "0.5", "sweep"]
+            ["sweep", "--telemetry-period", "0.5"]
         )
         assert args.telemetry_period == 0.5
-        args = build_parser().parse_args(["--no-telemetry", "sweep"])
+        args = build_parser().parse_args(["sweep", "--no-telemetry"])
         assert args.no_telemetry
+        for argv in (
+            ["--telemetry-period", "0.5", "sweep"],
+            ["--no-telemetry", "sweep"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv)
+            assert exc.value.code == 2
+
+    def test_telemetry_flags_only_where_read(self):
+        for command in ("baseline", "sweep", "amenability", "figures"):
+            args = build_parser().parse_args([command, "--no-telemetry"])
+            assert args.no_telemetry
+        for argv in (
+            ["--no-telemetry", "predict"],
+            ["predict", "--no-telemetry"],
+            ["serve", "--port", "0", "--telemetry-period", "2"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv)
+            assert exc.value.code == 2
 
     def test_inspect_format_choices(self):
         args = build_parser().parse_args(
@@ -143,7 +165,7 @@ class TestTelemetryFlags:
         self, result_file, capsys
     ):
         assert main(
-            ["--scale", "0.002", "--no-telemetry", "sweep",
+            ["--scale", "0.002", "sweep", "--no-telemetry",
              "--workload", "stereo", "--caps", "150", "120",
              "--format", "json"]
         ) == 0
@@ -161,7 +183,7 @@ class TestTelemetryFlags:
 
     def test_custom_period_changes_resolution(self, capsys):
         assert main(
-            ["--scale", "0.002", "--telemetry-period", "2.0", "sweep",
+            ["--scale", "0.002", "sweep", "--telemetry-period", "2.0",
              "--workload", "stereo", "--caps", "120", "--format", "json"]
         ) == 0
         doc = json.loads(capsys.readouterr().out)

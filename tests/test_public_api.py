@@ -28,6 +28,7 @@ PACKAGES = [
     "repro.perf",
     "repro.core",
     "repro.obs",
+    "repro.service",
 ]
 
 
