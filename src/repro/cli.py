@@ -337,7 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="listen port (0 = pick an ephemeral port and print it)",
     )
     serve.add_argument(
-        "--workers", type=int, default=2, help="sweep worker threads"
+        "--workers",
+        type=int,
+        default=2,
+        help="sweep worker threads (with --shards, at least one per shard)",
     )
     serve.add_argument(
         "--db",

@@ -336,7 +336,7 @@ def march(
             )
             for ch, p in zip(kern._channels, pts):
                 ch.add_block(p)
-            st.sampler.commit_block(n, float(BT0[slot]), 0.0, {}, pts)
+            st.sampler.commit_block(n, float(BT0[slot]), 0.0, {})
         if st.record_series:
             fmv = float(FREQ[slot] / 1e6)
             dv = float(DUTY[slot])

@@ -912,7 +912,7 @@ class BlockStepKernel:
                 }
             else:
                 acc_new = {}
-            sampler.commit_block(n, bt0, el, acc_new, flushed)
+            sampler.commit_block(n, bt0, el, acc_new)
         return (
             n, power, t, done, freq_time, cycles, stable,
             pfi, psi, pra, duty_c, seg,

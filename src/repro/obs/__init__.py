@@ -24,9 +24,8 @@ subsystem threads through (see ``docs/OBSERVABILITY.md``):
   paper's frequency-floor pinning, cap overshoot/settling, and
   energy-knee onset;
 - :mod:`.stream` — the bounded pub/sub event bus behind the HTTP
-  API's Server-Sent Events endpoint: telemetry samples, detections
-  and job lifecycle, live, with drop-oldest
-  backpressure and ``Last-Event-ID`` replay.
+  API's Server-Sent Events endpoint: each job's lifecycle events,
+  live, with drop-oldest backpressure and ``Last-Event-ID`` replay.
 """
 
 from .detect import (
@@ -70,11 +69,8 @@ from .stream import (
     EventBus,
     StreamEvent,
     Subscription,
-    current_stream,
     event_bus,
     reset_event_bus,
-    stream_context,
-    stream_publish,
 )
 from .timeseries import (
     TIMELINE_SCHEMA_VERSION,
@@ -92,11 +88,9 @@ from .tracing import (
     current_span_stack,
     phase_totals,
     reset_phase_totals,
-    set_enabled,
     span,
     start_tracing,
     stop_tracing,
-    tracing_enabled,
 )
 
 __all__ = [
@@ -114,8 +108,6 @@ __all__ = [
     "current_span_stack",
     "phase_totals",
     "reset_phase_totals",
-    "set_enabled",
-    "tracing_enabled",
     "Counter",
     "Gauge",
     "Histogram",
@@ -130,9 +122,6 @@ __all__ = [
     "EventBus",
     "event_bus",
     "reset_event_bus",
-    "stream_context",
-    "current_stream",
-    "stream_publish",
     "JOB_TOPIC_PREFIX",
     "TERMINAL_EVENT_KINDS",
     "TIMELINE_SCHEMA_VERSION",

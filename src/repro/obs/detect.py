@@ -23,7 +23,6 @@ from typing import Dict, List, Optional, Sequence
 
 from .logging import get_logger
 from .metrics import process_metrics
-from .stream import stream_publish
 
 __all__ = [
     "Detection",
@@ -227,7 +226,6 @@ def scan_experiment(result, floor_mhz: float) -> List[Detection]:
             cap_w=det.cap_w,
             **det.detail,
         )
-        stream_publish("detection", det.to_dict())
     if detections:
         process_metrics().observe_detections(
             [d.phenomenon for d in detections]

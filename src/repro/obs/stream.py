@@ -1,8 +1,7 @@
-"""Live event streaming: a bounded pub/sub bus behind the SSE API.
+"""Job event streaming: a bounded pub/sub bus behind the SSE API.
 
-Everything the observability layer records *after* a run — telemetry
-buckets, phenomenon detections, job lifecycle transitions — can also
-be watched *during* the run.  This module is the transport: a
+A job's lifecycle — started, retried, done, failed or cancelled — can
+be watched while it happens.  This module is the transport: a
 process-wide, thread-safe publish/subscribe bus whose subscribers are
 bounded (drop-oldest backpressure with an accurate dropped-events
 counter) and whose topics keep a bounded replay history so an HTTP
@@ -14,30 +13,30 @@ one that no subscriber holds.
 Design constraints, in order:
 
 1. **Publishing never perturbs the simulation.**  Events carry plain
-   JSON-ready dicts built from values the engine already computed; the
-   bus draws no random numbers and touches no model state, so results
-   are bit-identical with zero, one, or fifty subscribers (the tier-1
-   suite asserts byte-equality of serialized results).
+   JSON-ready dicts; the bus draws no random numbers and touches no
+   model state, so results are bit-identical with zero, one, or fifty
+   subscribers (the tier-1 suite asserts byte-equality of serialized
+   results).
 2. **Slow subscribers cannot stall publishers.**  ``publish`` only
    appends to bounded deques; a full subscriber queue drops its oldest
    event and counts the drop (``repro_stream_dropped_total``).  A
    subscriber that keeps up loses nothing.
-3. **Runs that nobody watches pay (almost) nothing.**  Publishers in
-   the engine are gated on a thread-local *stream context* installed
-   by the job scheduler: CLI runs and benchmark loops have no context,
-   so the per-bucket cost is one ``None`` check.
+3. **The bus carries lifecycle events only.**  The job scheduler is
+   the one publisher, a handful of events per job, so a retained topic
+   stays small; the engine, its telemetry and the detectors publish
+   nothing.  A run's telemetry is served once, after the run, from its
+   stored result (``GET /jobs/<id>/timeseries``), in-process and
+   sharded alike.
 
-Topics are strings: ``job:<id>`` for one run's telemetry + detector +
-lifecycle events.  Sequence numbers are per-topic and monotonic from
-1; they double as SSE event ids, so ``Last-Event-ID: 17`` resumes
-after event 17.
+Topics are strings: ``job:<id>`` for one job's lifecycle events.
+Sequence numbers are per-topic and monotonic from 1; they double as
+SSE event ids, so ``Last-Event-ID: 1`` resumes after event 1.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict, deque
-from contextlib import contextmanager
 from typing import Callable, Deque, List, NamedTuple, Optional
 
 __all__ = [
@@ -46,9 +45,6 @@ __all__ = [
     "EventBus",
     "event_bus",
     "reset_event_bus",
-    "stream_context",
-    "current_stream",
-    "stream_publish",
     "JOB_TOPIC_PREFIX",
     "MAX_TOPICS",
     "TERMINAL_EVENT_KINDS",
@@ -321,43 +317,3 @@ def reset_event_bus() -> None:
     with _bus_lock:
         _bus = None
 
-
-# ----------------------------------------------------------------------
-# Thread-local stream context
-# ----------------------------------------------------------------------
-
-_ctx = threading.local()
-
-
-@contextmanager
-def stream_context(topic: str):
-    """Route this thread's engine publishers to ``topic``.
-
-    Installed by the job scheduler around each sweep so the
-    :class:`~repro.obs.timeseries.TelemetrySampler` and the phenomenon
-    detectors publish into the job's stream without any plumbing
-    through the engine layers.  Nests (inner context wins).
-    """
-    prev = getattr(_ctx, "topic", None)
-    _ctx.topic = topic
-    try:
-        yield
-    finally:
-        _ctx.topic = prev
-
-
-def current_stream() -> Optional[str]:
-    """The active stream topic on this thread, or None."""
-    return getattr(_ctx, "topic", None)
-
-
-def stream_publish(kind: str, data: dict) -> Optional[int]:
-    """Publish into this thread's stream context (no-op without one).
-
-    The single call engine-side publishers make: one attribute read
-    when no context is installed, so unobserved runs stay free.
-    """
-    topic = getattr(_ctx, "topic", None)
-    if topic is None:
-        return None
-    return event_bus().publish(topic, kind, data)

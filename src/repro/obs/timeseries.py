@@ -45,7 +45,6 @@ from typing import (
 )
 
 from ..errors import SimulationError
-from .stream import current_stream, event_bus
 
 __all__ = [
     "TIMELINE_SCHEMA_VERSION",
@@ -666,11 +665,6 @@ class TelemetrySampler:
         self._samples = 0
         # Per-channel bucket accumulators: [weighted sum, min, max].
         self._acc: Dict[str, List[float]] = {}
-        # Captured once: the stream topic active when the run started.
-        # None (the common CLI/benchmark case) keeps every flush free of
-        # bus lookups; publishing reads engine values already computed,
-        # so results are bit-identical either way.
-        self._stream_topic = current_stream()
 
     @property
     def config(self) -> TelemetryConfig:
@@ -707,7 +701,6 @@ class TelemetrySampler:
         bucket_t0: float,
         elapsed: float,
         acc: Dict[str, List[float]],
-        flushed: Optional[List[List[SeriesPoint]]] = None,
     ) -> None:
         """Install bucket state evolved by the block-step kernel.
 
@@ -715,32 +708,12 @@ class TelemetrySampler:
         does (and flushes full buckets into the channels itself via
         :meth:`block_channel`); this commits the sample count and the
         partial tail bucket exactly as the scalar path would have left
-        them.  ``flushed`` — the kernel's lockstep per-channel lists of
-        already-committed bucket points, in ``STANDARD_CHANNELS``
-        order — lets a live stream see the buckets the kernel flushed
-        directly into the channels.
+        them.
         """
         self._samples += samples
         self._bucket_t0 = bucket_t0
         self._elapsed = elapsed
         self._acc = acc
-        if self._stream_topic is not None and flushed:
-            names = tuple(STANDARD_CHANNELS)
-            bus = event_bus()
-            for group in zip(*flushed):
-                first = group[0]
-                bus.publish(
-                    self._stream_topic,
-                    "sample",
-                    {
-                        "t_s": first.t_s,
-                        "dt_s": first.dt_s,
-                        "channels": {
-                            name: pt.mean
-                            for name, pt in zip(names, group)
-                        },
-                    },
-                )
 
     def record(self, dt_s: float, values: Mapping[str, float]) -> None:
         """Fold one control step's state into the current bucket."""
@@ -774,19 +747,6 @@ class TelemetrySampler:
                     name, "", self._cfg.capacity
                 )
             channel.add(t0, dt, slot[0] / dt, slot[1], slot[2])
-        if self._stream_topic is not None and self._acc:
-            event_bus().publish(
-                self._stream_topic,
-                "sample",
-                {
-                    "t_s": t0,
-                    "dt_s": dt,
-                    "channels": {
-                        name: slot[0] / dt
-                        for name, slot in self._acc.items()
-                    },
-                },
-            )
         self._acc = {}
         self._bucket_t0 = t0 + dt
         self._elapsed = 0.0

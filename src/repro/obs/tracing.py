@@ -23,10 +23,6 @@ Two sinks consume them:
   :func:`start_tracing` (the CLI's ``--trace-out``), it records every
   span as an event and can serialise the lot as Chrome
   ``trace_event`` JSON loadable in ``chrome://tracing`` / Perfetto.
-
-:func:`set_enabled` exists for the benchmark suite: it turns ``span``
-into a near-total no-op so instrumentation overhead can be measured
-against a true baseline.
 """
 
 from __future__ import annotations
@@ -49,8 +45,6 @@ __all__ = [
     "phase_totals",
     "thread_phase_totals",
     "reset_phase_totals",
-    "set_enabled",
-    "tracing_enabled",
 ]
 
 _local = threading.local()
@@ -60,7 +54,6 @@ _phase_lock = threading.Lock()
 _phase_acc: Dict[str, List[float]] = {}
 
 _collector: "TraceCollector | None" = None
-_enabled = True
 
 
 def _stack() -> list:
@@ -104,17 +97,6 @@ def reset_phase_totals() -> None:
     """Zero the process-wide phase accumulator (tests/benchmarks)."""
     with _phase_lock:
         _phase_acc.clear()
-
-
-def set_enabled(enabled: bool) -> None:
-    """Globally enable/disable span bookkeeping (benchmark baseline)."""
-    global _enabled
-    _enabled = bool(enabled)
-
-
-def tracing_enabled() -> bool:
-    """Whether span bookkeeping is currently enabled."""
-    return _enabled
 
 
 class TraceCollector:
@@ -289,30 +271,23 @@ class span:
     the body still closes the span, flagged with ``error=True``.
     """
 
-    __slots__ = ("name", "attrs", "_t0", "_parent", "_active")
+    __slots__ = ("name", "attrs", "_t0", "_parent")
 
     def __init__(self, name: str, **attrs) -> None:
         self.name = name
         self.attrs = attrs
         self._t0 = 0.0
         self._parent: Optional[str] = None
-        self._active = False
 
     def __enter__(self) -> "span":
-        if not _enabled:
-            return self
         stack = _stack()
         self._parent = stack[-1].name if stack else None
         stack.append(self)
-        self._active = True
         self._t0 = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        if not self._active:
-            return False
         t1 = time.perf_counter()
-        self._active = False
         stack = _stack()
         if stack and stack[-1] is self:
             stack.pop()

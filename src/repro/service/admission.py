@@ -38,6 +38,15 @@ __all__ = ["TokenBucket", "Admission", "AdmissionController"]
 SHED_REASONS = ("rate_limit", "queue_full", "shutting_down")
 
 
+def _check_bucket(rate: float, burst: float) -> None:
+    """Refuse a bucket that could never admit a request."""
+    if not (rate > 0 and burst >= 1):
+        raise ConfigError(
+            f"token bucket needs rate > 0 and burst >= 1, got "
+            f"rate={rate!r} burst={burst!r}"
+        )
+
+
 class TokenBucket:
     """A refilling token bucket (``rate`` tokens/s, ``burst`` capacity).
 
@@ -48,11 +57,7 @@ class TokenBucket:
     __slots__ = ("rate", "burst", "tokens", "stamp")
 
     def __init__(self, rate: float, burst: float) -> None:
-        if rate <= 0 or burst < 1:
-            raise ConfigError(
-                f"token bucket needs rate > 0 and burst >= 1, got "
-                f"rate={rate!r} burst={burst!r}"
-            )
+        _check_bucket(rate, burst)
         self.rate = float(rate)
         self.burst = float(burst)
         self.tokens = float(burst)
@@ -111,6 +116,7 @@ class AdmissionController:
             raise ConfigError(
                 f"max_queue_depth must be >= 1, got {max_queue_depth}"
             )
+        _check_bucket(rate, burst)
         self._rate = float(rate)
         self._burst = float(burst)
         self.max_queue_depth = int(max_queue_depth)

@@ -67,7 +67,6 @@ class ExperimentService:
         admission_burst: float = 400.0,
         max_queue_depth: int = 1024,
     ) -> None:
-        self.store = ResultStore(db_path)
         self.metrics = ServiceMetrics()
         self._stopping = threading.Event()
         self._stopped = threading.Event()
@@ -84,24 +83,30 @@ class ExperimentService:
             if n_shards >= 2
             else None
         )
-        self.scheduler = ExperimentScheduler(
-            self.store,
-            workers=workers,
-            rate_cache=None if self._shard_pool is not None else rate_cache,
-            metrics=self.metrics,
-            max_attempts=max_attempts,
-            batch=batch,
-            shard_pool=self._shard_pool,
-        )
-        self.admission = AdmissionController(
-            rate=admission_rate,
-            burst=admission_burst,
-            max_queue_depth=max_queue_depth,
-            queue_depth=self.scheduler.queue_depth,
-        )
-        self.admission.bind_drain_rate(self.scheduler.drain_rate)
-        self.metrics.bind_admission(self.admission)
-        self.scheduler.recover()
+        self.store = ResultStore(db_path)
+        try:
+            self.scheduler = ExperimentScheduler(
+                self.store,
+                workers=workers,
+                rate_cache=None if self._shard_pool is not None else rate_cache,
+                metrics=self.metrics,
+                max_attempts=max_attempts,
+                batch=batch,
+                shard_pool=self._shard_pool,
+            )
+            self.admission = AdmissionController(
+                rate=admission_rate,
+                burst=admission_burst,
+                max_queue_depth=max_queue_depth,
+                queue_depth=self.scheduler.queue_depth,
+            )
+            self.admission.bind_drain_rate(self.scheduler.drain_rate)
+            self.metrics.bind_admission(self.admission)
+            self.scheduler.recover()
+        except BaseException:
+            # A refused setting leaves no store connection open.
+            self.store.close()
+            raise
         self.router = Router(self)
         self._frontend = AsyncFrontEnd(self, host, int(port))
 

@@ -33,7 +33,7 @@ from ..core.ratecache import RateCache
 from ..errors import ReproError
 from ..obs.logging import get_logger
 from ..obs.metrics import ServiceMetrics
-from ..obs.stream import JOB_TOPIC_PREFIX, event_bus, stream_context
+from ..obs.stream import JOB_TOPIC_PREFIX, event_bus
 from ..obs.tracing import span
 from .jobs import Job, JobQueue, JobSpec, JobState, run_spec
 from .shards import ShardPool
@@ -60,7 +60,11 @@ class ExperimentScheduler:
     ) -> None:
         self._store = store
         self._queue = JobQueue()
-        self._workers = max(1, int(workers))
+        # A worker thread waits on one shard's reply, so a sharded
+        # scheduler runs at least one thread per shard.
+        self._workers = max(
+            1, int(workers), shard_pool.shards if shard_pool else 0
+        )
         if rate_cache is not None and not isinstance(rate_cache, RateCache):
             rate_cache = RateCache(rate_cache)
         self._rate_cache: Optional[RateCache] = rate_cache
@@ -405,11 +409,7 @@ class ExperimentScheduler:
         error = None
         try:
             with span("job", job_id=job.id, workload=job.spec.workload):
-                # The stream context routes the sampler's bucket
-                # flushes and the phenomenon detectors into this job's
-                # topic for the SSE endpoint.
-                with stream_context(topic):
-                    doc = self._run_spec(job.spec)
+                doc = self._run_spec(job.spec)
             self._store.put_result(job.spec_digest, doc)
         except Exception as exc:  # noqa: BLE001 — worker crash containment
             error = f"{type(exc).__name__}: {exc}"

@@ -20,7 +20,8 @@ Either way the store talks to SQLite through one connection (30 s busy
 timeout, ``synchronous`` at SQLite's default FULL) that a lock hands to
 one thread at a time, for one transaction.  Shard processes fork after
 the store opens and never touch its connection.  Any other
-``scheme://`` is rejected.
+``scheme://`` is rejected, and so is SQLite's own ``:memory:``
+spelling.
 
 The store does the one ``json.dumps`` of each document, so results
 loaded from it compare equal (dataclass equality, PAPI counter dicts
@@ -123,7 +124,7 @@ class ResultStore:
         self._path = str(path)
         if self._path == "memory://":
             database = ":memory:"
-        elif "://" in self._path:
+        elif "://" in self._path or self._path == ":memory:":
             raise ConfigError(
                 f"unsupported result store {self._path!r}: give a SQLite "
                 "file path or memory://"

@@ -1,8 +1,8 @@
 """The event bus behind the SSE API: semantics and backpressure.
 
 Covers: per-topic monotonic sequence ids, replay history and the
-``Last-Event-ID`` floor, the bound on retained topics, the thread-local
-stream context, drop-oldest backpressure with an exact dropped counter
+``Last-Event-ID`` floor, the bound on retained topics, drop-oldest
+backpressure with an exact dropped counter
 (including under concurrent publishers), that a keeping-up subscriber
 loses nothing, and ≥ 4 subscribers fed concurrently.
 """
@@ -19,11 +19,6 @@ from repro.obs.stream import (
     TERMINAL_EVENT_KINDS,
     EventBus,
     StreamEvent,
-    current_stream,
-    event_bus,
-    reset_event_bus,
-    stream_context,
-    stream_publish,
 )
 
 
@@ -215,43 +210,6 @@ class TestBackpressure:
             assert sorted(e.seq for e in got) == list(range(1, total + 1))
             assert sub.dropped == 0
         assert bus.dropped_total() == 0
-
-
-class TestStreamContext:
-    def test_no_context_means_no_publish(self):
-        reset_event_bus()
-        assert current_stream() is None
-        assert stream_publish("sample", {"v": 1}) is None
-        assert event_bus().published_total() == 0
-
-    def test_context_routes_and_nests(self):
-        reset_event_bus()
-        with stream_context("outer"):
-            assert current_stream() == "outer"
-            assert stream_publish("sample", {}) == 1
-            with stream_context("inner"):
-                assert current_stream() == "inner"
-                assert stream_publish("sample", {}) == 1
-            assert current_stream() == "outer"
-            assert stream_publish("sample", {}) == 2
-        assert current_stream() is None
-        assert event_bus().last_seq("outer") == 2
-        assert event_bus().last_seq("inner") == 1
-        reset_event_bus()
-
-    def test_context_is_thread_local(self):
-        reset_event_bus()
-        seen = {}
-
-        def worker():
-            seen["topic"] = current_stream()
-
-        with stream_context("main-only"):
-            t = threading.Thread(target=worker)
-            t.start()
-            t.join()
-        assert seen["topic"] is None
-        reset_event_bus()
 
 
 class TestConstants:

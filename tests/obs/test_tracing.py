@@ -13,12 +13,10 @@ from repro.obs.tracing import (
     current_span_stack,
     phase_totals,
     reset_phase_totals,
-    set_enabled,
     span,
     start_tracing,
     stop_tracing,
     thread_phase_totals,
-    tracing_enabled,
 )
 
 
@@ -27,11 +25,9 @@ def clean_tracing():
     """Every test starts with no collector and an empty accumulator."""
     stop_tracing()
     reset_phase_totals()
-    set_enabled(True)
     yield
     stop_tracing()
     reset_phase_totals()
-    set_enabled(True)
 
 
 class TestNesting:
@@ -142,15 +138,6 @@ class TestPhaseAccumulator:
         tick()
         assert phase_totals()["tick"]["count"] == 2
         assert thread_phase_totals()["tick"]["count"] == before + 1
-
-    def test_disabled_is_noop(self):
-        set_enabled(False)
-        assert not tracing_enabled()
-        collector = start_tracing()
-        with span("ghost"):
-            assert current_span_stack() == ()
-        assert phase_totals() == {}
-        assert len(collector) == 0
 
 
 class TestCollector:

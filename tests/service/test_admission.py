@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ConfigError
@@ -10,6 +15,9 @@ from repro.service.admission import (
     AdmissionController,
     TokenBucket,
 )
+from repro.service.api import ExperimentService
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 class TestTokenBucket:
@@ -123,3 +131,38 @@ class TestAdmissionController:
     def test_rejects_bad_queue_depth(self):
         with pytest.raises(ConfigError):
             AdmissionController(max_queue_depth=0)
+
+    def test_rejects_a_bucket_that_never_admits(self):
+        # Refused at construction, not at the first submission.
+        for rate, burst in ((0.0, 400.0), (200.0, 0.5)):
+            with pytest.raises(ConfigError):
+                AdmissionController(rate=rate, burst=burst)
+
+
+class TestRefusedServiceSettings:
+    def test_zero_rate_refuses_the_service(self, tmp_path):
+        with pytest.raises(ConfigError, match="rate > 0"):
+            ExperimentService(
+                db_path=tmp_path / "svc.sqlite3", port=0, admission_rate=0
+            )
+        # The store opened first is closed again: a WAL database's
+        # -wal file goes with its last connection.
+        assert (tmp_path / "svc.sqlite3").is_file()
+        assert not (tmp_path / "svc.sqlite3-wal").exists()
+
+    def test_serve_exits_2(self, tmp_path):
+        # A subprocess: a serve that starts would wait for a signal.
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "serve",
+                "--port", "0",
+                "--db", str(tmp_path / "svc.sqlite3"),
+                "--admission-rate", "0",
+            ],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "rate > 0" in proc.stderr

@@ -3,7 +3,9 @@
 The acceptance property: a result produced through the sharded path is
 byte-identical to the synchronous in-process path — same digests, same
 stored documents.  A job goes to whichever shard is idle, so a busy or
-dead shard never holds a job up while another shard lives.  The tests
+dead shard never holds a job up while another shard lives, and every
+shard has a worker thread to feed it.  A sharded job streams the same
+lifecycle events as an in-process one.  The tests
 start real shard processes on any host: they build ``ShardPool``
 directly, or patch ``os.cpu_count`` where the service decides how many
 shards to start.
@@ -15,6 +17,7 @@ import json
 import os
 import threading
 import time
+import urllib.request
 
 import pytest
 
@@ -262,6 +265,55 @@ class TestDeadShards:
             svc.shutdown(drain=False)
 
 
+class TestWorkersPerShard:
+    def test_every_shard_can_be_busy_at_once(self, tmp_path):
+        # A worker thread waits on one shard's reply, so two workers
+        # over four shards would leave two shards idle.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(os, "cpu_count", lambda: 4)
+            svc = ExperimentService(
+                db_path=tmp_path / "svc.sqlite3",
+                port=0,
+                workers=2,
+                rate_cache=tmp_path / "rates.json",
+                shards=4,
+            )
+        svc.start()
+        try:
+            assert svc.scheduler.workers == 4
+            # Cold three-cap sweeps (~1 s each) keep every shard busy
+            # long enough to be seen.
+            jobs = [
+                svc.scheduler.submit(
+                    JobSpec(
+                        workload="stereo",
+                        caps_w=(150.0, 130.0, 120.0),
+                        scale=0.01,
+                        seed=seed,
+                    )
+                )
+                for seed in range(4)
+            ]
+            most_running = most_busy = 0
+            deadline = time.monotonic() + 60.0
+            while time.monotonic() < deadline and (
+                most_running < 4 or most_busy < 4
+            ):
+                counts = svc.scheduler.counts_by_state()
+                most_running = max(most_running, counts["running"])
+                most_busy = max(most_busy, svc.shard_pool._busy)
+                if counts["done"] + counts["failed"] == len(jobs):
+                    break
+                time.sleep(0.005)
+            assert most_running == 4
+            assert most_busy == 4
+            assert svc.scheduler.drain(timeout=120)
+            states = [svc.scheduler.get(job.id).state for job in jobs]
+            assert states == [JobState.DONE] * len(jobs)
+        finally:
+            svc.shutdown(drain=False)
+
+
 class TestShardedService:
     """End-to-end: the service with real shards matches unsharded."""
 
@@ -284,6 +336,25 @@ class TestShardedService:
 
     def test_service_runs_sharded(self, sharded_service):
         assert sharded_service.scheduler.effective_shards == 2
+
+    def test_stream_is_the_jobs_lifecycle(self, sharded_service):
+        # The same two events an in-process job streams.
+        job = sharded_service.scheduler.submit(
+            JobSpec(workload="stereo", caps_w=(145.0,), scale=0.001, seed=11)
+        )
+        url = f"{sharded_service.url}/jobs/{job.id}/stream"
+        with urllib.request.urlopen(url, timeout=120) as resp:
+            body = resp.read().decode()
+        frames = []
+        for block in body.split("\n\n"):
+            fields = dict(
+                line.split(": ", 1)
+                for line in block.splitlines()
+                if line and not line.startswith(":")
+            )
+            if fields:
+                frames.append((fields.get("id"), fields["event"]))
+        assert frames == [("1", "job_started"), ("2", "job_done")]
 
     def test_result_through_shards_matches_store_bytes(
         self, sharded_service, tmp_path

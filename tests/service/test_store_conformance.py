@@ -191,3 +191,11 @@ class TestOpenStore:
             with pytest.raises(ConfigError, match="file path or memory://"):
                 ResultStore(url)
         assert list(tmp_path.iterdir()) == []
+
+    def test_sqlite_memory_spelling_is_rejected(self, tmp_path, monkeypatch):
+        # ":memory:" would open an in-memory database under a third
+        # spelling, which inspect and timeline then cannot find.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ConfigError, match="file path or memory://"):
+            ResultStore(":memory:")
+        assert list(tmp_path.iterdir()) == []

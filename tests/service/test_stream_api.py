@@ -1,11 +1,13 @@
 """The SSE streaming API end-to-end.
 
-Covers: live subscription to a running job (every event exactly once,
-ids strictly increasing, terminal close), full-history replay on a
+Covers: live subscription to a running job (its lifecycle events
+exactly once, ids from 1, terminal close), full-history replay on a
 finished job, ``Last-Event-ID`` resume via header and query parameter,
-404 on unknown jobs, the live stream/engine gauges on ``/metrics``, the no-perturbation contract — the result document is
-identical whether or not anyone was subscribed while the job ran — and
-the synthetic ``end`` frame of a job whose topic the bus forgot.
+404 on unknown jobs, the live stream/engine gauges on ``/metrics``, the
+no-perturbation contract — the result document is identical whether or
+not anyone was subscribed while the job ran — the synthetic ``end``
+frame of a job whose topic the bus forgot, and that the bus retains
+only lifecycle events, a few per job.
 """
 
 from __future__ import annotations
@@ -19,8 +21,16 @@ from urllib.parse import urlparse
 
 import pytest
 
-from repro.obs.stream import MAX_TOPICS, event_bus
+from repro.obs import stream
+from repro.obs.stream import (
+    JOB_TOPIC_PREFIX,
+    MAX_TOPICS,
+    TERMINAL_EVENT_KINDS,
+    EventBus,
+    event_bus,
+)
 from repro.service.api import ExperimentService
+from repro.service.jobs import JobSpec, JobState
 
 SPEC = {
     "workload": "stereo",
@@ -95,22 +105,10 @@ def streamed_job(service):
 class TestJobStream:
     def test_live_stream_exactly_once_and_terminal_close(self, streamed_job):
         _job, frames = streamed_job
-        kinds = [f["event"] for f in frames]
-        assert kinds[0] == "job_started"
-        assert kinds[-1] == "job_done"
-        assert kinds.count("job_done") == 1
-        assert kinds.count("sample") >= 1
-        ids = [f["id"] for f in frames if f["id"] is not None]
-        # Strictly increasing: nothing duplicated, nothing reordered.
-        assert all(b > a for a, b in zip(ids, ids[1:]))
-        assert ids[0] == 1  # the live subscriber saw the very first event
-
-    def test_sample_frames_carry_telemetry(self, streamed_job):
-        _job, frames = streamed_job
-        sample = next(f for f in frames if f["event"] == "sample")
-        assert "t_s" in sample["data"]
-        assert "channels" in sample["data"]
-        assert "power_w" in sample["data"]["channels"]
+        # A job's stream is its lifecycle: nothing duplicated, nothing
+        # reordered, and the live subscriber saw the very first event.
+        assert [f["event"] for f in frames] == ["job_started", "job_done"]
+        assert [f["id"] for f in frames] == [1, 2]
 
     def test_finished_job_replays_full_history(self, service, streamed_job):
         job, live_frames = streamed_job
@@ -120,7 +118,7 @@ class TestJobStream:
     def test_last_event_id_header_resumes(self, service, streamed_job):
         job, live_frames = streamed_job
         ids = [f["id"] for f in live_frames if f["id"] is not None]
-        floor = ids[len(ids) // 2]
+        floor = ids[0]
         resumed = parse_sse(read_stream(
             service,
             f"/jobs/{job['id']}/stream",
@@ -271,3 +269,52 @@ class TestForgottenTopic:
         assert frames == [
             {"id": None, "event": "end", "data": {"state": "done"}}
         ]
+
+
+class TestBusStaysSmall:
+    """Only the scheduler publishes: a handful of lifecycle events a job."""
+
+    def test_job_topics_hold_only_lifecycle_events(
+        self, tmp_path, monkeypatch
+    ):
+        bus = EventBus()
+        monkeypatch.setattr(stream, "_bus", bus)
+        svc = ExperimentService(
+            db_path="memory://",
+            port=0,
+            workers=2,
+            rate_cache=tmp_path / "rates.json",
+        )
+        svc.start()
+        try:
+            jobs = [
+                svc.scheduler.submit(
+                    JobSpec(
+                        workload="stereo",
+                        caps_w=(150.0,),
+                        scale=0.001,
+                        seed=seed,
+                    )
+                )
+                for seed in range(MAX_TOPICS + 6)
+            ]
+            assert svc.scheduler.drain(timeout=300)
+            states = {svc.scheduler.get(job.id).state for job in jobs}
+            max_attempts = jobs[0].max_attempts
+        finally:
+            svc.shutdown(drain=False)
+        assert states == {JobState.DONE}
+        # Every fresh job published exactly its start and its end, so
+        # no forgotten topic held a sample or detection event either.
+        assert bus.published_total() == 2 * len(jobs)
+        topics = bus.topics()
+        assert len(topics) == MAX_TOPICS
+        lifecycle = {"job_started", "job_retry"} | TERMINAL_EVENT_KINDS
+        for topic in topics:
+            assert topic.startswith(JOB_TOPIC_PREFIX)
+            sub = bus.subscribe(topic)
+            events = iter(lambda: sub.get(timeout=0), None)
+            kinds = [event.kind for event in events]
+            bus.unsubscribe(sub)
+            assert set(kinds) <= lifecycle, kinds
+            assert len(kinds) <= 2 * max_attempts

@@ -63,3 +63,43 @@ def test_environment_reads_are_deployment_settings():
             assert isinstance(key, ast.Constant), f"{where}: computed key"
             names.add(key.value)
     assert names == ENVIRONMENT_ALLOWED
+
+
+#: Modules that may import the event bus: the service publishes and
+#: serves each job's lifecycle, and ``/metrics`` reads the bus counters.
+#: The engine, its telemetry and the detectors publish nothing.
+STREAM_IMPORT_ALLOWED = ("service/", "obs/metrics.py", "obs/__init__.py")
+
+
+def _imports(path, tree):
+    """``(module, name)`` for every name an import in ``tree`` binds."""
+    package = ["repro", *path.relative_to(SRC).parent.parts]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, None
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) + 1 - node.level] if node.level else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            for alias in node.names:
+                yield module, alias.name
+
+
+def test_only_the_service_imports_the_event_bus():
+    from repro.obs import stream
+
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        where = path.relative_to(SRC).as_posix()
+        if where.startswith(STREAM_IMPORT_ALLOWED):
+            continue
+        for module, name in _imports(path, ast.parse(path.read_text())):
+            target = module if name is None else f"{module}.{name}"
+            if target.startswith("repro.obs.stream") or (
+                module == "repro.obs" and name in stream.__all__
+            ):
+                offenders.append(f"{where}: {target}")
+    assert not offenders, (
+        "only the service may publish to the event bus:\n"
+        + "\n".join(offenders)
+    )
